@@ -6,7 +6,8 @@
 //     the enabling instruction);
 //   * leafvec and route aggregation on/off at s = 18 (memory vs rate);
 //   * Tree BitMap stride 4 vs 6 (the "64-ary Tree BitMap still loses" point
-//     of §4.5) and DIR-24-8 as the direct-pointing ancestor.
+//     of §4.5) and DIR-24-8 as the direct-pointing ancestor;
+//   * Poptrie::lookup_batch (the run-merging batch loop) vs scalar lookups.
 #include "baselines/multiway.hpp"
 #include "benchkit/json.hpp"
 #include "benchkit/provenance.hpp"
@@ -164,7 +165,7 @@ int main(int argc, char** argv)
     }
 
     if (want("batch")) {
-    std::printf("\nAblation 5: batched lookup (lockstep lanes + prefetch, Poptrie18)\n\n");
+    std::printf("\nAblation 5: batched lookup (run-merging batch loop, Poptrie18)\n\n");
     {
         poptrie::Config cfg;
         cfg.direct_bits = 18;
@@ -179,52 +180,41 @@ int main(int argc, char** argv)
         const auto scalar = benchkit::measure_trace(
             [&](std::uint32_t a) { return pt.lookup_raw<true>(a); }, keys, trials);
         sink.add(scalar.checksum);
-        std::printf("  scalar:           %s Mlps\n",
+        std::printf("  scalar:        %s Mlps\n",
                     benchkit::fmt_mean_std(scalar.mlps_mean, scalar.mlps_std).c_str());
-        const auto batch_record = [&](std::string_view variant, unsigned lanes, double mlps,
+        const auto batch_record = [&](std::string_view variant, double mlps,
                                       double dispersion) {
             json.begin_record();
             json.field("bench", std::string_view{"ablation"});
             json.field("section", std::string_view{"batch"});
             json.field("variant", variant);
-            json.field("lanes", std::uint64_t{lanes});
             json.field("mlps", mlps);
             json.field("mlps_mad", dispersion);
             json.field("speedup_vs_scalar", scalar.mlps_mean > 0 ? mlps / scalar.mlps_mean : 0);
             benchkit::stamp_provenance(json);
         };
-        batch_record("scalar", 1, scalar.mlps_mean, scalar.mlps_std);
+        batch_record("scalar", scalar.mlps_mean, scalar.mlps_std);
         // reader: single-threaded bench over a table that never changes — the
-        // batch walks below are trivially inside a read-side critical section.
+        // batch walk below is trivially inside a read-side critical section.
         const psync::EbrReadSection section;
-        for (const unsigned lanes : {2u, 4u, 8u, 16u}) {
-            std::vector<double> rates;
-            std::uint64_t cs = 0;
-            for (unsigned t = 0; t < trials; ++t) {
-                const auto t0 = std::chrono::steady_clock::now();
-                switch (lanes) {
-                case 2: pt.lookup_batch<true, 2>(keys.data(), out.data(), keys.size()); break;
-                case 4: pt.lookup_batch<true, 4>(keys.data(), out.data(), keys.size()); break;
-                case 8: pt.lookup_batch<true, 8>(keys.data(), out.data(), keys.size()); break;
-                default:
-                    pt.lookup_batch<true, 16>(keys.data(), out.data(), keys.size());
-                    break;
-                }
-                const double secs =
-                    std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                        .count();
-                rates.push_back(static_cast<double>(keys.size()) / secs / 1e6);
-                for (const auto v : out) cs += v;
-            }
-            sink.add(cs);
-            const auto ms = benchkit::mean_std(rates);
-            std::printf("  batch x%-2u lanes:  %s Mlps (%.2fx scalar)\n", lanes,
-                        benchkit::fmt_mean_std(ms.mean, ms.std).c_str(),
-                        ms.mean / scalar.mlps_mean);
-            // Median-of-trials + MAD: the dispersion benchctl's noise bands
-            // consume (one preempted trial must not skew the record).
-            batch_record("batch", lanes, benchkit::median(rates), benchkit::mad(rates));
+        std::vector<double> rates;
+        std::uint64_t cs = 0;
+        for (unsigned t = 0; t < trials; ++t) {
+            const auto t0 = std::chrono::steady_clock::now();
+            pt.lookup_batch<true>(keys.data(), out.data(), keys.size());
+            const double secs =
+                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+            rates.push_back(static_cast<double>(keys.size()) / secs / 1e6);
+            for (const auto v : out) cs += v;
         }
+        sink.add(cs);
+        const auto ms = benchkit::mean_std(rates);
+        std::printf("  lookup_batch:  %s Mlps (%.2fx scalar)\n",
+                    benchkit::fmt_mean_std(ms.mean, ms.std).c_str(),
+                    ms.mean / scalar.mlps_mean);
+        // Median-of-trials + MAD: the dispersion benchctl's noise bands
+        // consume (one preempted trial must not skew the record).
+        batch_record("lookup_batch", benchkit::median(rates), benchkit::mad(rates));
     }
     }
 

@@ -2,7 +2,7 @@
 //
 // The paper's tables stop near 900k routes; this bench charts what happens
 // on the way to 10M: random-probe Mlps and the p99.9 per-lookup cycle tail
-// versus route count, across the L2 / L3 / TLB cache cliffs, for Poptrie18
+// versus route count, across the cache/TLB rate cliffs, for Poptrie18
 // in basic and compressed-leaf (Config::leaf_dict) modes plus the SAIL /
 // D18R / Dir24 baselines. Baselines that hit their structural ceilings on
 // huge tables are first-class data: the row is emitted with

@@ -19,14 +19,12 @@
 // §3.5 incremental-update path, then the baselines are built from the final
 // route set.
 //
-// The family byte's high bits are the lane/burst selector: bit 0 picks the
-// address family (as before, so the committed corpus keeps its meaning),
-// bits 1-2 pick the burst width (8/16/32) for the live EBR-guarded
-// lookup_batch walk. Independently, every compiled-in + CPU-supported lane
-// path (scalar / pipelined / AVX2 / AVX-512 — poptrie/lanes.hpp) replays the
-// whole probe set against the radix oracle, so a gather kernel that
-// disagrees with the scalar walk on any fuzz-grown table is a finding even
-// when the scalar paths all agree.
+// The family byte: bit 0 picks the address family, bits 1-2 pick the
+// call-split width (8/16/32 keys per lookup_batch call) for the live
+// EBR-guarded batch loop, and the remaining bits are ignored, so every
+// committed seed keeps its meaning. The batch replay issues each probe 1-3
+// times in a row, so runs of equal keys both merge inside a call and
+// straddle call boundaries, where merging must stop and the key must walk.
 //
 // Config-byte bit 0x20 selects Config::leaf_dict: after the scalar and
 // batch probes, the table is compacted at a quiescent point (which is when
@@ -43,7 +41,6 @@
 #include "baselines/sail.hpp"
 #include "baselines/treebitmap.hpp"
 #include "fuzz/common.hpp"
-#include "poptrie/lanes.hpp"
 #include "poptrie/poptrie.hpp"
 #include "rib/patricia.hpp"
 #include "rib/radix_trie.hpp"
@@ -62,31 +59,39 @@ void mismatch(const std::string& structure, Addr addr, rib::NextHop got,
                    std::to_string(got) + ", radix oracle says " + std::to_string(want));
 }
 
-/// The fuzz-chosen burst width for the EBR-guarded lookup_batch walk.
-/// `pt.lookup_batch` is templated on the width, so the selector dispatches
-/// to one of the three instantiations the dataplane can also reach.
-template <class Poptrie, class ValueType>
-void batch_at_width(const Poptrie& pt, bool leaf_compression, unsigned width_sel,
-                    const std::vector<ValueType>& keys,
-                    std::vector<rib::NextHop>& out) POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
+/// Replays `probes` through the EBR-guarded batch loop and checks every
+/// answer against the oracle. Probe i is issued 1 + i % 3 times in a row,
+/// and the stream is split into lookup_batch calls of `width` keys.
+template <class Addr, class Poptrie>
+void check_batch(const Poptrie& pt, const rib::RadixTrie<Addr>& oracle,
+                 bool leaf_compression, std::size_t width,
+                 const std::vector<typename Addr::value_type>& probes,
+                 const std::string& label)
 {
-    out.resize(keys.size());
-    if (leaf_compression) {
-        switch (width_sel) {
-        case 0: pt.template lookup_batch<true, 8>(keys.data(), out.data(), keys.size()); break;
-        case 1: pt.template lookup_batch<true, 16>(keys.data(), out.data(), keys.size()); break;
-        default: pt.template lookup_batch<true, 32>(keys.data(), out.data(), keys.size()); break;
+    std::vector<typename Addr::value_type> keys;
+    for (std::size_t i = 0; i < probes.size(); ++i)
+        keys.insert(keys.end(), 1 + i % 3, probes[i]);
+    std::vector<rib::NextHop> got(keys.size());
+    {
+        // reader: single-threaded harness — the claim marks the EBR
+        // capability lookup_batch requires; there is no concurrent updater.
+        const psync::EbrReadSection reader;
+        for (std::size_t i = 0; i < keys.size(); i += width) {
+            const std::size_t n = std::min(width, keys.size() - i);
+            if (leaf_compression)
+                pt.template lookup_batch<true>(keys.data() + i, got.data() + i, n);
+            else
+                pt.template lookup_batch<false>(keys.data() + i, got.data() + i, n);
         }
-    } else {
-        switch (width_sel) {
-        case 0: pt.template lookup_batch<false, 8>(keys.data(), out.data(), keys.size()); break;
-        case 1: pt.template lookup_batch<false, 16>(keys.data(), out.data(), keys.size()); break;
-        default: pt.template lookup_batch<false, 32>(keys.data(), out.data(), keys.size()); break;
-        }
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        const Addr a{keys[i]};
+        if (const auto want = oracle.lookup(a); got[i] != want)
+            mismatch(label + "[w" + std::to_string(width) + "]", a, got[i], want);
     }
 }
 
-void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned width_sel)
+void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg, std::size_t width)
 {
     using Addr = netbase::Ipv4Addr;
     const auto ops = fuzz::decode_ops<Addr>(in);
@@ -129,35 +134,9 @@ void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned width_s
         if (const auto got = dir24.lookup(a); got != want) mismatch("dir24", a, got, want);
     }
 
-    // Batch lane paths over the identical probe set. The scalar per-probe
-    // loop above already pinned the oracle answers; here every usable kernel
-    // (and the fuzz-selected burst width of the live AtomicView walk) must
-    // reproduce them.
-    {
-        std::vector<rib::NextHop> got(probes.size());
-        const auto view = pt.batch_view();
-        for (const auto path : poptrie::lanes::kAllPaths) {
-            if (!poptrie::lanes::compiled_in(path) || !poptrie::lanes::cpu_supports(path))
-                continue;
-            poptrie::lanes::run(path, view, probes.data(), got.data(), probes.size());
-            for (std::size_t i = 0; i < probes.size(); ++i) {
-                const Addr a{probes[i]};
-                if (const auto want = oracle.lookup(a); got[i] != want)
-                    mismatch("lanes[" + std::string(poptrie::lanes::name(path)) + "]",
-                             a, got[i], want);
-            }
-        }
-        // reader: single-threaded harness — the claim marks the EBR
-        // capability lookup_batch requires; there is no concurrent updater.
-        const psync::EbrReadSection reader;
-        batch_at_width(pt, cfg.leaf_compression, width_sel, probes, got);
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            const Addr a{probes[i]};
-            if (const auto want = oracle.lookup(a); got[i] != want)
-                mismatch("lookup_batch[w" + std::to_string(8u << width_sel) + "]", a,
-                         got[i], want);
-        }
-    }
+    // The batch loop over the identical probe set: the scalar per-probe loop
+    // above already pinned the oracle answers.
+    check_batch(pt, oracle, cfg.leaf_compression, width, probes, "lookup_batch");
 
     // Dictionary-coded leaves (cfg.leaf_dict) only exist after a compact():
     // run one at a quiescent point and replay the whole probe set over the
@@ -183,7 +162,7 @@ void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned width_s
     if (!report.ok()) fuzz::fail(kHarness, "poptrie-fsck audit failure", report.summary());
 }
 
-void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned width_sel)
+void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg, std::size_t width)
 {
     using Addr = netbase::Ipv6Addr;
     const auto ops = fuzz::decode_ops<Addr>(in);
@@ -214,21 +193,7 @@ void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg, unsigned width_s
         if (const auto got = dxr6.lookup(a); got != want) mismatch("dxr6", a, got, want);
     }
 
-    // The SIMD lane kernels are IPv4-only, but the interleaved batch walk is
-    // family-generic: replay the probes at the fuzz-selected burst width.
-    {
-        std::vector<rib::NextHop> got(probes.size());
-        // reader: single-threaded harness — the claim marks the EBR
-        // capability lookup_batch requires; there is no concurrent updater.
-        const psync::EbrReadSection reader;
-        batch_at_width(pt, cfg.leaf_compression, width_sel, probes, got);
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            const Addr a{probes[i]};
-            if (const auto want = oracle.lookup(a); got[i] != want)
-                mismatch("lookup_batch6[w" + std::to_string(8u << width_sel) + "]", a,
-                         got[i], want);
-        }
-    }
+    check_batch(pt, oracle, cfg.leaf_compression, width, probes, "lookup_batch6");
 
     // Same dict-compacted replay as the IPv4 leg.
     if (cfg.leaf_dict) {
@@ -259,12 +224,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     const auto cfg = fuzz::decode_config(in.u8());
     const auto family_byte = in.u8();
     const bool v6 = (family_byte & 1u) != 0;
-    // Bits 1-2 select the lookup_batch burst width: 8, 16, or 32 (both
+    // Bits 1-2 select the keys per lookup_batch call: 8, 16, or 32 (both
     // values 2 and 3 map to 32 so the label matches what actually ran).
-    const unsigned width_sel = std::min((family_byte >> 1) & 3u, 2u);
+    const std::size_t width = std::size_t{8} << std::min((family_byte >> 1) & 3u, 2u);
     if (v6)
-        run_ipv6(in, cfg, width_sel);
+        run_ipv6(in, cfg, width);
     else
-        run_ipv4(in, cfg, width_sel);
+        run_ipv4(in, cfg, width);
     return 0;
 }

@@ -41,8 +41,7 @@
 #include "alloc/arena.hpp"
 #include "netbase/bits.hpp"
 #include "poptrie/config.hpp"
-#include "poptrie/lanes.hpp"
-#include "poptrie/lookup_pipelined.ipp"
+#include "poptrie/lookup_walk.ipp"
 #include "poptrie/poptrie.hpp"
 #include "sync/annotations.hpp"
 
@@ -226,8 +225,8 @@ struct LoadOptions {
 /// A read-only FIB served straight out of a validated snapshot image.
 /// Immutable after construction: plain loads, no EBR, no allocators, and
 /// therefore trivially shareable across threads (and, under mmap placement,
-/// across processes). The lookup algorithm is the paper's, identical to
-/// Poptrie::lookup_impl minus the publication atomics an updater would need.
+/// across processes). The lookup is the live trie's walk (batch::lookup_one)
+/// over a plain-load view: no publication atomics, no updater to race.
 template <class Addr>
 class SnapshotFib {
 public:
@@ -261,8 +260,7 @@ public:
           leaf_dict_(other.leaf_dict_),
           root_(other.root_),
           direct_bits_(other.direct_bits_),
-          leaf_compression_(other.leaf_compression_),
-          lane_path_(other.lane_path_)
+          leaf_compression_(other.leaf_compression_)
     {
         other.nodes_ = nullptr;
         other.leaves_ = nullptr;
@@ -285,7 +283,6 @@ public:
             root_ = other.root_;
             direct_bits_ = other.direct_bits_;
             leaf_compression_ = other.leaf_compression_;
-            lane_path_ = other.lane_path_;
             other.nodes_ = nullptr;
             other.leaves_ = nullptr;
             other.direct_ = nullptr;
@@ -299,8 +296,8 @@ public:
     ~SnapshotFib() { release(); }
 
     /// Longest-prefix-match lookup; kNoRoute on miss. One configuration
-    /// branch, then the same walk as the live trie (the shared scalar
-    /// reference in lookup_pipelined.ipp, over the plain-load view).
+    /// branch, then the same walk as the live trie (batch::lookup_one in
+    /// lookup_walk.ipp, over the plain-load view).
     POPTRIE_HOT [[nodiscard]] NextHop lookup(Addr addr) const noexcept
     {
         const auto view = plain_view();
@@ -309,39 +306,19 @@ public:
                    : poptrie::batch::lookup_one<false>(view, addr.value(), direct_bits_);
     }
 
-    /// Batched lookup: the shared pipelined state machine from
-    /// lookup_pipelined.ipp — and, for IPv4, the SIMD lane paths behind the
-    /// runtime dispatch in poptrie/lanes.hpp (lane_path() says which one
-    /// serves; POPTRIE_FORCE_LANES was honored at load time). No capability
-    /// requirement and no atomics: the arrays are immutable, which is also
-    /// what makes the plain-load SIMD gathers sound here.
+    /// Batched lookup: the live trie's batch loop (batch::lookup_many, which
+    /// merges runs of equal destinations) over the plain-load view, for both
+    /// address families. No capability requirement and no atomics: the
+    /// arrays are immutable.
     POPTRIE_HOT void lookup_batch(const value_type* keys, NextHop* out,
                                   std::size_t n) const noexcept
     {
-        if constexpr (kWidth == 32) {
-            poptrie::lanes::run(lane_path_, plain_view(), keys, out, n);
-        } else {
-            // IPv6: no SIMD formulation yet (128-bit keys need a different
-            // chunk pipeline); the interleaved walk still hides the misses.
-            const auto view = plain_view();
-            if (leaf_compression_)
-                poptrie::batch::lookup_batch_pipelined<true, 8>(view, keys, out, n,
-                                                                direct_bits_);
-            else
-                poptrie::batch::lookup_batch_pipelined<false, 8>(view, keys, out, n,
-                                                                 direct_bits_);
-        }
+        const auto view = plain_view();
+        if (leaf_compression_)
+            poptrie::batch::lookup_many<true>(view, keys, out, n, direct_bits_);
+        else
+            poptrie::batch::lookup_many<false>(view, keys, out, n, direct_bits_);
     }
-
-    /// The lane path lookup_batch serves IPv4 bursts with. Resolved via
-    /// lanes::select() when the image is loaded; tests and tools may pin it.
-    [[nodiscard]] poptrie::lanes::LanePath lane_path() const noexcept
-    {
-        return lane_path_;
-    }
-    /// Pins the batch lane path. The caller owns the select() contract:
-    /// pass only a path that is compiled in and CPU-supported.
-    void set_lane_path(poptrie::lanes::LanePath path) noexcept { lane_path_ = path; }
 
     [[nodiscard]] const ImageHeader& header() const noexcept { return hdr_; }
     /// The Config the FIB was built with, reconstructed from the echo.
@@ -388,14 +365,12 @@ private:
         leaf_dict_ = nullptr;
     }
 
-    /// The plain-load view the shared walk (lookup_pipelined.ipp) and the
-    /// SIMD kernels read through. Exact, not an approximation: a loaded
-    /// image has no writer side at all.
+    /// The plain-load view the shared walk (lookup_walk.ipp) reads through.
+    /// Exact, not an approximation: a loaded image has no writer side at all.
     POPTRIE_HOT [[nodiscard]] poptrie::batch::PlainView<value_type, Node>
     plain_view() const noexcept
     {
-        return {nodes_,       leaves_,           direct_,  root_,
-                direct_bits_, leaf_compression_, leaves8_, leaf_dict_};
+        return {nodes_, leaves_, direct_, root_, leaves8_, leaf_dict_};
     }
 
     ImageHeader hdr_{};
@@ -413,9 +388,6 @@ private:
     std::uint32_t root_ = 0;
     unsigned direct_bits_ = 0;
     bool leaf_compression_ = true;
-    // Resolved once per load (cpuid + POPTRIE_FORCE_LANES); IPv6 images
-    // carry it too but always serve the pipelined walk.
-    poptrie::lanes::LanePath lane_path_ = poptrie::lanes::select().path;
 };
 
 using SnapshotFib4 = SnapshotFib<netbase::Ipv4Addr>;

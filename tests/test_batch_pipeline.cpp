@@ -1,27 +1,19 @@
-// tests/test_batch_pipeline.cpp — the pipelined/SIMD batch lookup paths
-// (poptrie/lookup_pipelined.ipp + poptrie/lanes.hpp; DESIGN.md §12).
+// tests/test_batch_pipeline.cpp — the batch lookup loop (batch::lookup_many
+// in poptrie/lookup_walk.ipp; DESIGN.md §12) behind Poptrie::lookup_batch,
+// SnapshotFib::lookup_batch and the dataplane engines.
 //
-// The contract under test: every lane path — scalar reference, interleaved
-// pipelined walk, AVX2 kernel, AVX-512 kernel — returns bit-identical
-// results on every table shape and burst size, and the dispatch ladder
-// (compiled_in / cpu_supports / POPTRIE_FORCE_LANES) never silently
-// substitutes a different path for a forced one.
-//
-// CI's simd-dispatch step greps this binary's output for one
-// `lane-path <name>: exercised|skipped (...)` line per compiled-in path, so
-// a runner without AVX-512 shows an explicit skip instead of silence.
+// The contract under test: every batch entry point — the live trie's
+// lookup_batch and a snapshot image's lookup_batch — returns results
+// bit-identical to the scalar lookup() on every table shape and burst size.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "dataplane/engines.hpp"
 #include "helpers.hpp"
-#include "poptrie/lanes.hpp"
 #include "poptrie/poptrie.hpp"
 #include "rib/route.hpp"
 #include "router/router.hpp"
@@ -35,15 +27,6 @@ namespace {
 using netbase::Ipv4Addr;
 using poptrie::Poptrie4;
 using rib::NextHop;
-namespace lanes = poptrie::lanes;
-
-std::vector<lanes::LanePath> usable_paths()
-{
-    std::vector<lanes::LanePath> v;
-    for (const lanes::LanePath p : lanes::kAllPaths)
-        if (lanes::compiled_in(p) && lanes::cpu_supports(p)) v.push_back(p);
-    return v;
-}
 
 /// Keys that exercise every structural corner of corner_case_table():
 /// direct-step leaves, deep /32 chains, defaults, boundary addresses.
@@ -64,19 +47,48 @@ std::vector<std::uint32_t> probe_keys(const rib::RouteList<Ipv4Addr>& routes,
     return keys;
 }
 
-/// Runs `path` over `keys` against `fib`'s view and compares every result
-/// with the scalar lookup() (itself validated against the radix oracle by
-/// test_poptrie_lookup).
-void expect_path_matches_scalar(const Poptrie4& fib, lanes::LanePath path,
-                                const std::vector<std::uint32_t>& keys)
+/// The two batch entry points over `keys`: the live trie's lookup_batch and
+/// a snapshot image's. The extra sentinel slot catches a write past n.
+std::vector<NextHop> live_batch(const Poptrie4& fib, const std::vector<std::uint32_t>& keys)
 {
-    const lanes::View4 view = fib.batch_view();
     std::vector<NextHop> got(keys.size() + 1, 0xBEEF);
-    lanes::run(path, view, keys.data(), got.data(), keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i)
-        ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]}))
-            << "path " << lanes::name(path) << " key #" << i << " = " << keys[i];
-    EXPECT_EQ(got[keys.size()], 0xBEEF) << "wrote past n";
+    {
+        // reader: single-threaded test, no concurrent updater exists.
+        const psync::EbrReadSection section;
+        if (fib.config().leaf_compression)
+            fib.lookup_batch<true>(keys.data(), got.data(), keys.size());
+        else
+            fib.lookup_batch<false>(keys.data(), got.data(), keys.size());
+    }
+    return got;
+}
+
+std::vector<NextHop> snapshot_batch(const Poptrie4& fib, const std::vector<std::uint32_t>& keys)
+{
+    std::vector<std::uint8_t> image;
+    {
+        // quiescent: single-threaded test, no readers or writer exist.
+        const psync::QuiescentSection q;
+        image = snapshot::serialize(fib);
+    }
+    const auto snap = snapshot::SnapshotFib4::load_buffer(image.data(), image.size());
+    std::vector<NextHop> got(keys.size() + 1, 0xBEEF);
+    snap.lookup_batch(keys.data(), got.data(), keys.size());
+    return got;
+}
+
+/// Runs both batch entry points over `keys` and compares every result with
+/// the scalar lookup() (itself validated against the radix oracle by
+/// test_poptrie_lookup).
+void expect_batch_matches_scalar(const Poptrie4& fib, const std::vector<std::uint32_t>& keys)
+{
+    for (const bool snap : {false, true}) {
+        const auto got = snap ? snapshot_batch(fib, keys) : live_batch(fib, keys);
+        for (std::size_t i = 0; i < keys.size(); ++i)
+            ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]}))
+                << (snap ? "snapshot" : "live") << " key #" << i << " = " << keys[i];
+        EXPECT_EQ(got[keys.size()], 0xBEEF) << "wrote past n";
+    }
 }
 
 poptrie::Config cfg_default()
@@ -104,8 +116,7 @@ TEST(BatchPipeline, AllPathsMatchScalarOnCornerTable)
     const auto keys = probe_keys(routes, 4096);
     for (const auto& cfg : {cfg_default(), cfg_no_direct(), cfg_basic()}) {
         const Poptrie4 fib(rib, cfg);
-        for (const lanes::LanePath p : usable_paths())
-            expect_path_matches_scalar(fib, p, keys);
+        expect_batch_matches_scalar(fib, keys);
     }
 }
 
@@ -120,8 +131,7 @@ TEST(BatchPipeline, AllPathsMatchScalarOnGeneratedTable)
     std::vector<std::uint32_t> keys;
     workload::Xorshift128 rng(7);
     for (int i = 0; i < 8192; ++i) keys.push_back(rng.next());
-    for (const lanes::LanePath p : usable_paths())
-        expect_path_matches_scalar(fib, p, keys);
+    expect_batch_matches_scalar(fib, keys);
 }
 
 TEST(BatchPipeline, BurstSizesIncludingEmptyAndNonMultiples)
@@ -130,8 +140,8 @@ TEST(BatchPipeline, BurstSizesIncludingEmptyAndNonMultiples)
     const auto rib = testhelpers::load(routes);
     const Poptrie4 fib(rib);
     const auto all_keys = probe_keys(routes, 64);
-    // 0, 1, lane-width-1, lane-width, +1, odd primes, and a long burst:
-    // retirement and tail handling off-by-ones live at these sizes.
+    // 0, 1, 2, odd primes, powers of two and their neighbours, and a long
+    // burst: first-key and loop-bound off-by-ones live at these sizes.
     for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                                 std::size_t{7}, std::size_t{8}, std::size_t{9},
                                 std::size_t{13}, std::size_t{31}, std::size_t{32},
@@ -139,25 +149,23 @@ TEST(BatchPipeline, BurstSizesIncludingEmptyAndNonMultiples)
         ASSERT_LE(n, all_keys.size());
         const std::vector<std::uint32_t> keys(all_keys.begin(),
                                               all_keys.begin() + static_cast<long>(n));
-        for (const lanes::LanePath p : usable_paths())
-            expect_path_matches_scalar(fib, p, keys);
+        expect_batch_matches_scalar(fib, keys);
     }
 }
 
 TEST(BatchPipeline, EmptyTableEveryPath)
 {
-    // An empty FIB has an *empty node pool* under direct pointing — the SIMD
-    // kernels must not gather through retired/inactive lanes (masked
-    // gathers), or this test faults.
+    // An empty FIB has an *empty node pool* under direct pointing: every
+    // key must resolve at the direct step (or the empty root) without
+    // reading a node that does not exist.
     for (const auto& cfg : {cfg_default(), cfg_no_direct()}) {
         const Poptrie4 fib(cfg);
         std::vector<std::uint32_t> keys;
         workload::Xorshift128 rng(3);
         for (int i = 0; i < 256; ++i) keys.push_back(rng.next());
-        for (const lanes::LanePath p : usable_paths()) {
-            std::vector<NextHop> got(keys.size(), 7);
-            lanes::run(p, fib.batch_view(), keys.data(), got.data(), keys.size());
-            for (const NextHop h : got) ASSERT_EQ(h, rib::kNoRoute);
+        for (const bool snap : {false, true}) {
+            const auto got = snap ? snapshot_batch(fib, keys) : live_batch(fib, keys);
+            for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(got[i], rib::kNoRoute);
         }
     }
 }
@@ -171,20 +179,18 @@ TEST(BatchPipeline, AllDefaultRouteTable)
         std::vector<std::uint32_t> keys;
         workload::Xorshift128 rng(5);
         for (int i = 0; i < 333; ++i) keys.push_back(rng.next());
-        for (const lanes::LanePath p : usable_paths()) {
-            std::vector<NextHop> got(keys.size(), 0);
-            lanes::run(p, fib.batch_view(), keys.data(), got.data(), keys.size());
-            for (const NextHop h : got) ASSERT_EQ(h, 42);
+        for (const bool snap : {false, true}) {
+            const auto got = snap ? snapshot_batch(fib, keys) : live_batch(fib, keys);
+            for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(got[i], 42);
         }
     }
 }
 
 TEST(BatchPipeline, OutOfOrderLaneRetirement)
 {
-    // One burst whose lanes retire at maximally different depths: lane 0
-    // walks to a /32 chain, lane 1 resolves at the direct step, alternating.
-    // The interleave/SIMD state machines must keep retired lanes retired
-    // while deep lanes continue.
+    // One burst whose keys resolve at maximally different depths: a /32
+    // chain, a shallow route and a direct-step leaf, interleaved, so no key
+    // merges with its neighbour and every answer comes from its own walk.
     const auto routes = testhelpers::corner_case_table();
     const auto rib = testhelpers::load(routes);
     const Poptrie4 fib(rib);
@@ -194,55 +200,59 @@ TEST(BatchPipeline, OutOfOrderLaneRetirement)
     std::vector<std::uint32_t> keys;
     for (int i = 0; i < 32; ++i)
         keys.push_back(i % 2 == 0 ? deep : (i % 4 == 1 ? shallow : direct_leaf));
-    for (const lanes::LanePath p : usable_paths())
-        expect_path_matches_scalar(fib, p, keys);
+    expect_batch_matches_scalar(fib, keys);
 }
 
 TEST(BatchPipeline, PoptrieLookupBatchBurstWidths)
 {
-    // The churn-safe Poptrie::lookup_batch is a Lanes template; the bench
-    // sweeps 8/16/32. All widths must agree with the scalar path.
+    // The dataplane hands lookup_batch bursts of any width, and a run of
+    // equal keys may straddle two bursts. Splitting one stream into calls
+    // of 8, 16 or 32 keys must not change any result.
     const auto routes = testhelpers::corner_case_table();
     const auto rib = testhelpers::load(routes);
     const Poptrie4 fib(rib);
-    const auto keys = probe_keys(routes, 500);
-    std::vector<NextHop> w8(keys.size());
-    std::vector<NextHop> w16(keys.size());
-    std::vector<NextHop> w32(keys.size());
+    std::vector<std::uint32_t> keys;
+    const auto probes = probe_keys(routes, 500);
+    for (std::size_t i = 0; i < probes.size(); ++i)
+        keys.insert(keys.end(), 1 + i % 5, probes[i]);
     // reader: single-threaded test, no concurrent updater exists.
     const psync::EbrReadSection section;
-    fib.lookup_batch<true, 8>(keys.data(), w8.data(), keys.size());
-    fib.lookup_batch<true, 16>(keys.data(), w16.data(), keys.size());
-    fib.lookup_batch<true, 32>(keys.data(), w32.data(), keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        ASSERT_EQ(w8[i], fib.lookup(Ipv4Addr{keys[i]}));
-        ASSERT_EQ(w16[i], w8[i]);
-        ASSERT_EQ(w32[i], w8[i]);
+    for (const std::size_t width : {std::size_t{8}, std::size_t{16}, std::size_t{32}}) {
+        std::vector<NextHop> got(keys.size());
+        for (std::size_t i = 0; i < keys.size(); i += width)
+            fib.lookup_batch<true>(keys.data() + i, got.data() + i,
+                                   std::min(width, keys.size() - i));
+        for (std::size_t i = 0; i < keys.size(); ++i)
+            ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]})) << "width " << width << " #" << i;
     }
 }
 
 TEST(BatchPipeline, SnapshotFibServesEveryUsablePath)
 {
+    // The snapshot image's scalar and batch lookups, for both leaf modes,
+    // agree with the live trie it was written from.
     const auto routes = testhelpers::corner_case_table();
     const auto rib = testhelpers::load(routes);
-    const Poptrie4 fib(rib);
-    // quiescent: single-threaded test, no readers or writer exist.
-    const psync::QuiescentSection q;
-    const auto image = snapshot::serialize(fib);
-    auto snap = snapshot::SnapshotFib4::load_buffer(image.data(), image.size());
     const auto keys = probe_keys(routes, 1024);
-    for (const lanes::LanePath p : usable_paths()) {
-        snap.set_lane_path(p);
-        ASSERT_EQ(snap.lane_path(), p);
+    for (const auto& cfg : {cfg_default(), cfg_basic()}) {
+        const Poptrie4 fib(rib, cfg);
+        std::vector<std::uint8_t> image;
+        {
+            // quiescent: single-threaded test, no readers or writer exist.
+            const psync::QuiescentSection q;
+            image = snapshot::serialize(fib);
+        }
+        const auto snap = snapshot::SnapshotFib4::load_buffer(image.data(), image.size());
         std::vector<NextHop> got(keys.size());
         snap.lookup_batch(keys.data(), got.data(), keys.size());
-        for (std::size_t i = 0; i < keys.size(); ++i)
-            ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]}))
-                << "snapshot path " << lanes::name(p) << " key " << keys[i];
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            ASSERT_EQ(got[i], fib.lookup(Ipv4Addr{keys[i]})) << "batch key " << keys[i];
+            ASSERT_EQ(snap.lookup(Ipv4Addr{keys[i]}), got[i]) << "scalar key " << keys[i];
+        }
     }
 }
 
-TEST(BatchPipeline, PipelinedEngineMatchesPoptrieEngine)
+TEST(BatchPipeline, SnapshotEngineMatchesPoptrieEngine)
 {
     const auto routes = testhelpers::corner_case_table();
     router::Router4 router;
@@ -257,112 +267,19 @@ TEST(BatchPipeline, PipelinedEngineMatchesPoptrieEngine)
         const dataplane::EbrReader::Guard guard(reader);
         base.lookup_batch(keys.data(), want.data(), keys.size());
     }
-    for (const lanes::LanePath p : usable_paths()) {
-        dataplane::PipelinedEngine eng(router.fib(), p);
-        EXPECT_EQ(eng.lane_path(), p);
-        EXPECT_EQ(eng.name(), std::string("pipelined[") + std::string(lanes::name(p)) + "]");
-        auto reader = eng.make_reader();
-        const dataplane::NullReader::Guard guard(reader);
-        std::vector<NextHop> got(keys.size());
-        eng.lookup_batch(keys.data(), got.data(), keys.size());
-        for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(got[i], want[i]);
-    }
-    static_assert(!dataplane::PipelinedEngine::kSupportsChurn,
-                  "SIMD gathers are plain loads; churn needs the AtomicView engine");
-}
-
-class ForceLanesEnv : public ::testing::Test {
-protected:
-    void SetUp() override
+    std::vector<std::uint8_t> image;
     {
-        const char* old = std::getenv("POPTRIE_FORCE_LANES");
-        if (old != nullptr) saved_ = old;
+        // quiescent: single-threaded test, no readers or writer exist.
+        const psync::QuiescentSection q;
+        image = snapshot::serialize(router.fib());
     }
-    void TearDown() override
-    {
-        if (saved_.empty())
-            ::unsetenv("POPTRIE_FORCE_LANES");
-        else
-            ::setenv("POPTRIE_FORCE_LANES", saved_.c_str(), 1);
-    }
-    std::string saved_;
-};
-
-TEST_F(ForceLanesEnv, SelectHonorsEnvironment)
-{
-    for (const lanes::LanePath p : usable_paths()) {
-        ::setenv("POPTRIE_FORCE_LANES", std::string(lanes::name(p)).c_str(), 1);
-        const auto sel = lanes::select();
-        EXPECT_TRUE(sel.ok) << sel.note;
-        EXPECT_TRUE(sel.forced);
-        EXPECT_EQ(sel.path, p);
-    }
-}
-
-TEST_F(ForceLanesEnv, SelectRejectsUnknownValue)
-{
-    ::setenv("POPTRIE_FORCE_LANES", "sse9", 1);
-    const auto sel = lanes::select();
-    EXPECT_FALSE(sel.ok);
-    EXPECT_NE(sel.note.find("sse9"), std::string::npos);
-}
-
-TEST_F(ForceLanesEnv, SelectRefusesUnusableForcedPath)
-{
-    // Whichever SIMD rung is missing (not compiled in, or CPU-unsupported)
-    // must be refused, not silently downgraded. On a machine where every
-    // path is usable there is nothing to refuse — assert the automatic
-    // choice instead.
-    ::unsetenv("POPTRIE_FORCE_LANES");
-    bool found_unusable = false;
-    for (const lanes::LanePath p : lanes::kAllPaths) {
-        if (lanes::compiled_in(p) && lanes::cpu_supports(p)) continue;
-        found_unusable = true;
-        const auto sel = lanes::select(p);
-        EXPECT_FALSE(sel.ok) << lanes::name(p);
-        EXPECT_FALSE(sel.note.empty());
-        EXPECT_TRUE(lanes::compiled_in(sel.path) && lanes::cpu_supports(sel.path))
-            << "fallback suggestion must itself be usable";
-    }
-    if (!found_unusable) {
-        const auto sel = lanes::select();
-        EXPECT_TRUE(sel.ok);
-        EXPECT_FALSE(sel.forced);
-        EXPECT_TRUE(lanes::compiled_in(sel.path) && lanes::cpu_supports(sel.path));
-    }
-}
-
-TEST_F(ForceLanesEnv, ExplicitRequestBeatsEnvironment)
-{
-    ::setenv("POPTRIE_FORCE_LANES", "scalar", 1);
-    const auto sel = lanes::select(lanes::LanePath::kPipelined);
-    EXPECT_TRUE(sel.ok);
-    EXPECT_EQ(sel.path, lanes::LanePath::kPipelined);
-}
-
-TEST(LaneDispatch, CompiledPathsExercisedOrExplicitlySkipped)
-{
-    // The run-log contract for CI's simd-dispatch step: one line per
-    // compiled-in path, either exercised (equivalence ran above in this
-    // binary) or skipped with the reason. Silence = failure at the CI layer.
-    const auto routes = testhelpers::corner_case_table();
-    const auto rib = testhelpers::load(routes);
-    const Poptrie4 fib(rib);
-    const auto keys = probe_keys(routes, 256);
-    for (const lanes::LanePath p : lanes::kAllPaths) {
-        if (!lanes::compiled_in(p)) {
-            std::printf("lane-path %s: not compiled in\n",
-                        std::string(lanes::name(p)).c_str());
-            continue;
-        }
-        if (!lanes::cpu_supports(p)) {
-            std::printf("lane-path %s: skipped (cpu lacks support)\n",
-                        std::string(lanes::name(p)).c_str());
-            continue;
-        }
-        expect_path_matches_scalar(fib, p, keys);
-        std::printf("lane-path %s: exercised\n", std::string(lanes::name(p)).c_str());
-    }
+    const auto snap = snapshot::SnapshotFib4::load_buffer(image.data(), image.size());
+    const dataplane::SnapshotEngine eng(snap);
+    auto reader = eng.make_reader();
+    const dataplane::NullReader::Guard guard(reader);
+    std::vector<NextHop> got(keys.size());
+    eng.lookup_batch(keys.data(), got.data(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(got[i], want[i]);
 }
 
 }  // namespace

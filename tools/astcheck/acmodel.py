@@ -51,8 +51,11 @@ class ShiftSite:
 
 @dataclass
 class SubscriptSite:
-    """An index into one of the Poptrie pools (HP3): `nodes_[...]`,
-    `leaves_[...]`, `direct_[...]`. `index` is the index expression text."""
+    """An index into one of the Poptrie pools (HP3): a subscript
+    `nodes_[...]`, `leaves_[...]`, `direct_[...]` (array = the pool name),
+    or the index argument of a lookup-walk view accessor such as
+    `view.node_vector(...)` (array = the accessor name plus "()").
+    `index` is the index expression text."""
 
     line: int
     array: str

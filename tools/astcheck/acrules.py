@@ -2,9 +2,9 @@
 
 HP1 hot-path purity: functions tagged poptrie::hot (POPTRIE_HOT) must not
     transitively reach heap allocation, locks, throwing constructs,
-    syscalls, iostream, or runtime lane-dispatch probes (CPUID feature
-    tests, getenv — the lane path resolves once at lanes::select() time,
-    never per burst). The call graph is walked per file/TU from every
+    syscalls, iostream, or runtime dispatch probes (CPUID feature tests,
+    getenv — any such choice resolves once at set-up time, never per
+    burst). The call graph is walked per file/TU from every
     hot root; calls resolve to same-model definitions (the clang frontend
     feeds per-TU models, so cross-header edges resolve there). Exempt
     callees (poptrie::hot_exempt) stop the walk, but an exemption without
@@ -19,10 +19,13 @@ HP2 shift-width safety: every shift whose count is not provably < the
     vouches for anything the prover cannot see.
 
 HP3 pool-index provenance: inside hot functions, indices into the Poptrie
-    pools (nodes_/leaves_/direct_) must flow from the popcount accessors
-    -- base+popcount chains, extract(), chunk(), load_acquire() -- never
-    raw arithmetic. A local-variable fixpoint tracks provenance through
-    assignments; `// index-ok: <why>` vouches for the rest.
+    pools (nodes_/leaves_/direct_ subscripts, and the index arguments of
+    the lookup-walk view accessors node_vector/node_leafvec/node_base0/
+    node_base1/leaf/direct_slot) must flow from the popcount accessors
+    -- base+popcount chains, rank(), extract(), chunk(), load_acquire(),
+    the view's own base/direct/root loads -- never raw arithmetic. A
+    local-variable fixpoint tracks provenance through assignments;
+    `// index-ok: <why>` vouches for the rest.
 
 `// astcheck: allow` (same line or the two above) is the last-resort
 escape hatch for all three families, mirroring check-atomics: allow.
@@ -271,6 +274,7 @@ SANCTIONED_MARK_RE = re.compile(
     r"\bpopcount\w*\s*\(|(?<![\w.])pop\s*\(|\bload_acquire\b|\bload_relaxed\b"
     r"|\bextract\s*[<(]|\bchunk\s*\(|\bbase0\b|\bbase1\b|\broot_\b"
     r"|\bold_child_index\s*\(|\bold_leaf_value\s*\(|\bbump_offset\s*\(|\bdirect_index\s*\("
+    r"|\brank\s*[<(]|\bnode_base[01]\s*\(|\bdirect_slot\s*\(|\broot_index\s*\("
 )
 ASSIGN_RE = re.compile(r"(?:^|[;{}(\s])((?:\w+\s+)*)([A-Za-z_]\w*)(\s*\[[^\]]*\])?\s*(=|\+=|\|=|&=|\^=)(?![=])\s*([^;]+)")
 HP3_IGNORED_IDENTS = frozenset({"std", "size_t", "size", "data", "get", "first", "second"})
@@ -335,14 +339,15 @@ def check_hp3(fm, findings):
                 continue
             if _index_ok(sub.index, sanctioned):
                 continue
+            target = sub.array if sub.array.endswith("()") else sub.array + "[]"
             findings.append(
                 (
                     fm.path,
                     sub.line,
-                    f"[HP3] index '{sub.index}' into {sub.array}[] does not flow "
-                    "from the popcount accessors (base0/base1 + popcount, extract(), "
-                    "chunk(), load_acquire()); pool indices must carry provenance, "
-                    "or vouch with '// index-ok: <why>'",
+                    f"[HP3] index '{sub.index}' into {target} does not flow "
+                    "from the popcount accessors (base0/base1 + popcount, rank(), "
+                    "extract(), chunk(), load_acquire()); pool indices must carry "
+                    "provenance, or vouch with '// index-ok: <why>'",
                 )
             )
 

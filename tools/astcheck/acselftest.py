@@ -75,8 +75,8 @@ def self_test():
         {d: _hot("  std::cout << 1;", "void log_miss()", mark="POPTRIE_HOT_EXEMPT")},
         1,
     )
-    # Lane-dispatch probes on the hot path: the kernel choice must be made
-    # once at lanes::select() time, not re-probed per burst.
+    # Runtime dispatch probes on the hot path: a code-path choice must be
+    # made once at set-up time, not re-probed per burst.
     expect(
         "hot runtime cpuid probe",
         {d: _hot('  if (__builtin_cpu_supports("avx2")) { fast(k, o, n); return; }\n'
@@ -85,8 +85,8 @@ def self_test():
         1,
     )
     expect(
-        "hot getenv lane override",
-        {d: _hot('  const char* e = getenv("POPTRIE_FORCE_LANES");\n  return e != nullptr;',
+        "hot getenv override",
+        {d: _hot('  const char* e = getenv("POPTRIE_OVERRIDE");\n  return e != nullptr;',
                  "bool forced()")},
         1,
     )
@@ -133,6 +133,42 @@ def self_test():
         1,
     )
 
+    # The lookup walk reaches the pools through its view's accessors
+    # (poptrie/lookup_walk.ipp): their index arguments are pool indices.
+    expect(
+        "loop counter indexes view.node_vector",
+        {
+            p: _hot(
+                "  unsigned long acc = 0;\n"
+                "  for (unsigned i = 0; i < n; ++i) { acc |= view.node_vector(i); }\n"
+                "  return acc;",
+                "unsigned long f(const View& view, unsigned n)",
+            )
+        },
+        1,
+    )
+    expect(
+        "raw arithmetic into view.leaf and view.node_leafvec",
+        {
+            p: _hot(
+                "  return view.leaf(base + off * 2) + view.node_leafvec(off + 1);",
+                "unsigned f(const View& view, unsigned base, unsigned off)",
+            )
+        },
+        2,
+    )
+    expect(
+        "unproven view.direct_slot and node_base0/node_base1 indices",
+        {
+            p: _hot(
+                "  const unsigned a = view.direct_slot(key >> 14);\n"
+                "  return view.node_base0(key & 0xFFFF) + view.node_base1(key + 1) + a;",
+                "unsigned f(const View& view, unsigned key)",
+            )
+        },
+        3,
+    )
+
     # ---- clean twins ----------------------------------------------------
     clean_poptrie = (
         "inline constexpr unsigned kWidth = 64;\n"
@@ -157,6 +193,16 @@ def self_test():
         "  }\n"
         "  POPTRIE_HOT unsigned short probe(unsigned slot) const {\n"
         "    return direct_[slot];  // index-ok: slot precomputed from extract() by the caller\n"
+        "  }\n"
+        "  template <class View>\n"
+        "  POPTRIE_HOT unsigned short walk(const View& view, unsigned long key) const {\n"
+        "    const unsigned slot = extract(key, 0, 16);\n"
+        "    unsigned index = view.direct_slot(slot);\n"
+        "    unsigned v = chunk(key, 16);\n"
+        "    unsigned long vector = view.node_vector(index);\n"
+        "    index = view.node_base1(index) + rank<false>(vector, v) - 1;\n"
+        "    const unsigned base = view.node_base0(index);\n"
+        "    return view.leaf(base + rank<false>(view.node_leafvec(index), v) - 1);\n"
         "  }\n"
         "};\n"
         "inline unsigned long low_mask(unsigned v) {\n"

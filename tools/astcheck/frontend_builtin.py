@@ -16,7 +16,7 @@ acmodel.FileModel from a lexical parse that understands just enough C++:
     function's body;
   * per-function extraction of call sites, HP1-banned constructs, shift
     sites (template argument lists blanked first so `vector<vector<T>>`
-    is not a shift), and pool subscripts.
+    is not a shift), pool subscripts, and view-accessor index arguments.
 
 Known blind spots, accepted on purpose: `#if`/`#else` branches with
 unbalanced braces can over-extend a body, and macro-generated functions
@@ -190,14 +190,14 @@ BANNED_CALLS = {
     "sleep_for": ("syscall", "thread sleep"),
     "sleep_until": ("syscall", "thread sleep"),
     "yield": ("syscall", "scheduler yield"),
-    # Lane dispatch (poptrie/lanes.hpp) resolves once, at select() time; a
-    # feature probe or environment read inside a hot function means the
-    # per-burst path is re-deciding its kernel on every call.
-    "getenv": ("dispatch", "environment lookup; POPTRIE_FORCE_LANES resolves at select() time"),
-    "__builtin_cpu_supports": ("dispatch", "runtime CPUID feature probe; resolve the lane path once at select() time"),
-    "__builtin_cpu_is": ("dispatch", "runtime CPUID feature probe; resolve the lane path once at select() time"),
-    "__get_cpuid": ("dispatch", "runtime CPUID probe; resolve the lane path once at select() time"),
-    "__get_cpuid_count": ("dispatch", "runtime CPUID probe; resolve the lane path once at select() time"),
+    # Runtime dispatch resolves once, at set-up time; a feature probe or
+    # environment read inside a hot function means the per-burst path is
+    # re-deciding its code path on every call.
+    "getenv": ("dispatch", "environment lookup; resolve it once at set-up time"),
+    "__builtin_cpu_supports": ("dispatch", "runtime CPUID feature probe; resolve it once at set-up time"),
+    "__builtin_cpu_is": ("dispatch", "runtime CPUID feature probe; resolve it once at set-up time"),
+    "__get_cpuid": ("dispatch", "runtime CPUID probe; resolve it once at set-up time"),
+    "__get_cpuid_count": ("dispatch", "runtime CPUID probe; resolve it once at set-up time"),
     "printf": ("io", "stdio output"),
     "fprintf": ("io", "stdio output"),
     "snprintf": ("io", "stdio formatting"),
@@ -329,19 +329,32 @@ def extract_shifts(code, lineno, out, file_code_text):
 
 POOL_RE = re.compile(r"\b(nodes_|leaves_|direct_)\s*\[")
 
+# The lookup walk reaches the pools only through its view's accessors
+# (poptrie/lookup_walk.ipp), so their index arguments are pool indices too.
+VIEW_ACCESSORS = ("node_vector", "node_leafvec", "node_base0", "node_base1", "leaf", "direct_slot")
+ACCESSOR_RE = re.compile(r"\b(" + "|".join(VIEW_ACCESSORS) + r")\s*\(")
+
+
+def _bracketed(code, start, open_ch, close_ch):
+    """Text from `start` up to the bracket closing an already-open one."""
+    depth = 1
+    i = start
+    while i < len(code) and depth:
+        if code[i] == open_ch:
+            depth += 1
+        elif code[i] == close_ch:
+            depth -= 1
+        i += 1
+    return code[start: i - 1].strip()
+
 
 def extract_subscripts(code, lineno, out):
     for m in POOL_RE.finditer(code):
-        depth = 1
-        i = m.end()
-        start = i
-        while i < len(code) and depth:
-            if code[i] == "[":
-                depth += 1
-            elif code[i] == "]":
-                depth -= 1
-            i += 1
-        out.append(SubscriptSite(lineno, m.group(1), code[start: i - 1].strip()))
+        out.append(SubscriptSite(lineno, m.group(1), _bracketed(code, m.end(), "[", "]")))
+    for m in ACCESSOR_RE.finditer(code):
+        index = _bracketed(code, m.end(), "(", ")")
+        if index:
+            out.append(SubscriptSite(lineno, m.group(1) + "()", index))
 
 
 # ---------------------------------------------------------------------------

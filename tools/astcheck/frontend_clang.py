@@ -9,7 +9,8 @@ For every translation unit whose main file lives under src/, this runs
 and walks the dump to *augment* the builtin models: AST-found constructs
 (CXXNewExpr, CXXThrowExpr, banned CallExprs...), precise call edges
 (DeclRefExpr -> referencedDecl, resolved across headers within the TU),
-shift operators with type-aware operand widths, and pool subscripts. The
+shift operators with type-aware operand widths, pool subscripts and
+view-accessor index arguments. The
 builtin lexical pass still supplies function bodies (HP2's bound prover
 reads source text) and hot/exempt annotation discovery -- clang's
 AnnotateAttr JSON omits the annotation string in some releases, and the
@@ -37,7 +38,7 @@ import sys
 
 import lintkit
 from acmodel import CallSite, Construct, ShiftSite, SubscriptSite
-from frontend_builtin import BANNED_CALLS
+from frontend_builtin import BANNED_CALLS, VIEW_ACCESSORS
 
 TOOL = "astcheck"
 
@@ -239,6 +240,14 @@ class _Walker:
                     if name in BANNED_CALLS:
                         k, why = BANNED_CALLS[name]
                         self._bucket(f)["constructs"].append(Construct(k, line, name + "()", why))
+                    if name in VIEW_ACCESSORS:
+                        # inner[0] is the callee; inner[1] the index argument.
+                        inner = [c for c in node.get("inner", []) if isinstance(c, dict)]
+                        idx_text = self._src_slice(inner[1]).strip() if len(inner) >= 2 else ""
+                        if idx_text:
+                            self._bucket(f)["subscripts"].append(
+                                SubscriptSite(line, name + "()", idx_text)
+                            )
             elif kind in ("BinaryOperator", "CompoundAssignOperator") and node.get("opcode") in (
                 "<<", ">>", "<<=", ">>=",
             ):
