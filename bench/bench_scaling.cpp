@@ -2,19 +2,16 @@
 //
 // The paper's tables stop near 900k routes; this bench charts what happens
 // on the way to 10M: random-probe Mlps and the p99.9 per-lookup cycle tail
-// versus route count, across the cache/TLB rate cliffs, for Poptrie18
-// in basic and compressed-leaf (Config::leaf_dict) modes plus the SAIL /
-// D18R / Dir24 baselines. Baselines that hit their structural ceilings on
-// huge tables are first-class data: the row is emitted with
-// {"status":"structural_limit"} and the sweep continues — a baseline that
-// cannot represent the table at all IS the scalability result (§4.8 writ
-// large).
+// versus route count, across the cache/TLB rate cliffs, for a compacted
+// Poptrie18 plus the SAIL / D18R / Dir24 baselines. Baselines that hit their
+// structural ceilings on huge tables are first-class data: the row is
+// emitted with {"status":"structural_limit"} and the sweep continues — a
+// baseline that cannot represent the table at all IS the scalability result
+// (§4.8 writ large).
 //
-// The two compressed-leaf acceptance gates (--gate):
-//   * resident-bytes reduction >= 25% at the largest swept size;
-//   * median-Mlps cost <= 10% vs basic at that size.
-// Checksum equivalence basic-vs-dict is enforced at EVERY size — a wrong
-// decode exits 1 before it can post a number.
+// Correctness gate, at EVERY size: Poptrie18's lookup checksum must equal
+// the RIB's (Rib4::lookup) over the same seeded keys — a wrong lookup exits
+// 1 before it can post a number.
 //
 // Emits poptrie-bench/1 records (suite component: scale; family scale.*).
 #include "common.hpp"
@@ -81,10 +78,8 @@ int main(int argc, char** argv)
             "  --trials=N        timed trials per cell (default 3)\n"
             "  --tail-samples=N  per-lookup cycle samples for p99.9 (default 262144)\n"
             "  --seed=S          table seed (default 42)\n"
-            "  --next-hops=N     distinct next hops (default 100; >256 defeats the dict)\n"
+            "  --next-hops=N     distinct next hops (default 100)\n"
             "  --no-baselines    skip SAIL/D18R/Dir24 (Poptrie-only sweep)\n"
-            "  --gate            enforce the compressed-leaf acceptance gates at the\n"
-            "                    largest size (>=25% bytes reduction, <=10% Mlps cost)\n"
             "  --json-out=FILE   write poptrie-bench/1 records to FILE"))
         return 0;
 
@@ -96,7 +91,6 @@ int main(int argc, char** argv)
     const std::uint64_t seed = args.seed(42);
     const auto next_hops = static_cast<unsigned>(args.get_u64("next-hops", 100));
     const bool baselines = !args.has("no-baselines");
-    const bool gate = args.has("gate");
 
     std::printf("# scale-out sweep: sizes={");
     for (std::size_t i = 0; i < sizes.size(); ++i)
@@ -113,10 +107,6 @@ int main(int argc, char** argv)
                                   {"p99.9 cyc", 10},
                                   {"resident MiB", 12}});
     table.print_header();
-
-    double gate_basic_mlps = 0, gate_dict_mlps = 0;
-    std::uint64_t gate_basic_bytes = 0, gate_dict_bytes = 0;
-    bool gate_dict_encoded = false;
 
     for (const std::size_t n : sizes) {
         workload::ScaledTableConfig gen;
@@ -140,13 +130,10 @@ int main(int argc, char** argv)
             sink.add(rate.checksum);
         };
 
-        // Poptrie18, basic leaves then dictionary-coded leaves; both
-        // compacted so the layouts differ only in the leaf encoding.
-        Row basic;
-        basic.structure = "poptrie18";
-        Row dict;
-        dict.structure = "poptrie18-dict";
-        std::uint64_t dict_slots = 0;
+        // Poptrie18, compacted: the canonical DFS layout a long-running
+        // router returns to after every compact().
+        Row pt18;
+        pt18.structure = "poptrie18";
         {
             // quiescent: single-threaded bench — no reader thread exists, so
             // compact() at build time is safe.
@@ -155,27 +142,23 @@ int main(int argc, char** argv)
             cfg.direct_bits = 18;
             auto pt = std::make_unique<poptrie::Poptrie4>(rib, cfg);
             pt->compact();
-            basic.resident_bytes = pt->stats().memory_bytes;
-            measure_into(basic, [&pt](std::uint32_t a) { return pt->lookup_raw<true>(a); });
-
-            cfg.leaf_dict = true;
-            auto ptd = std::make_unique<poptrie::Poptrie4>(rib, cfg);
-            ptd->compact();
-            const auto st = ptd->stats();
-            dict.resident_bytes = st.memory_bytes;
-            dict_slots = st.leaf8_slots;
-            measure_into(dict, [&ptd](std::uint32_t a) { return ptd->lookup_raw<true>(a); });
+            pt18.resident_bytes = pt->stats().memory_bytes;
+            measure_into(pt18, [&pt](std::uint32_t a) { return pt->lookup_raw<true>(a); });
         }
-        if (basic.checksum != dict.checksum) {
+        // The RIB oracle over the same keys: measure_random replays one
+        // seeded key stream per trial and sums the trials' checksums.
+        workload::Xorshift128 rng(seed + 9);
+        std::uint64_t rib_sum = 0;
+        for (std::size_t i = 0; i < lookups; ++i) rib_sum += rib.lookup(Ipv4Addr{rng.next()});
+        if (pt18.checksum != rib_sum * trials) {
             std::fprintf(stderr,
-                         "bench_scaling: basic/dict checksum divergence at %zu routes "
+                         "bench_scaling: poptrie18/RIB checksum divergence at %zu routes "
                          "(%llx vs %llx)\n",
-                         n, static_cast<unsigned long long>(basic.checksum),
-                         static_cast<unsigned long long>(dict.checksum));
+                         n, static_cast<unsigned long long>(pt18.checksum),
+                         static_cast<unsigned long long>(rib_sum * trials));
             return 1;
         }
-        rows.push_back(basic);
-        rows.push_back(dict);
+        rows.push_back(pt18);
 
         if (baselines) {
             const Rib4 fib_src = rib::aggregate(rib);
@@ -226,62 +209,11 @@ int main(int argc, char** argv)
             }
             emit_row(json, n, r);
         }
-
-        if (n == sizes.back()) {
-            gate_basic_mlps = basic.mlps;
-            gate_dict_mlps = dict.mlps;
-            gate_basic_bytes = basic.resident_bytes;
-            gate_dict_bytes = dict.resident_bytes;
-            gate_dict_encoded = dict_slots != 0;
-        }
     }
-
-    // Headline compressed-leaf summary at the largest size.
-    const double reduction =
-        gate_basic_bytes != 0
-            ? 1.0 - static_cast<double>(gate_dict_bytes) / static_cast<double>(gate_basic_bytes)
-            : 0.0;
-    const double mlps_cost =
-        gate_basic_mlps > 0 ? 1.0 - gate_dict_mlps / gate_basic_mlps : 0.0;
-    std::printf("\nleaf-dict at %zu routes: resident bytes %.1f%% smaller, "
-                "Mlps cost %.1f%%%s\n",
-                sizes.back(), reduction * 100, mlps_cost * 100,
-                gate_dict_encoded ? "" : " (dict NOT encoded: >256 distinct next hops)");
-    json.begin_record();
-    json.field("tool", std::string_view{"bench_scaling"});
-    json.field("structure", std::string_view{"summary"});
-    json.field("routes", std::uint64_t{sizes.back()});
-    json.field("status", std::string_view{"ok"});
-    json.field("dict_bytes_reduction", reduction);
-    json.field("dict_mlps_cost", mlps_cost);
-    json.field("dict_encoded", gate_dict_encoded ? 1.0 : 0.0);
-    benchkit::stamp_provenance(json);
 
     if (!args.json_out().empty() && !json.write_file(args.json_out())) {
         std::fprintf(stderr, "bench_scaling: cannot write %s\n", args.json_out().c_str());
         return 2;
-    }
-
-    if (gate) {
-        bool failed = false;
-        if (!gate_dict_encoded) {
-            std::fprintf(stderr, "bench_scaling --gate: dictionary was not encoded\n");
-            failed = true;
-        }
-        if (reduction < 0.25) {
-            std::fprintf(stderr,
-                         "bench_scaling --gate: bytes reduction %.1f%% < 25%% target\n",
-                         reduction * 100);
-            failed = true;
-        }
-        if (mlps_cost > 0.10) {
-            std::fprintf(stderr, "bench_scaling --gate: Mlps cost %.1f%% > 10%% budget\n",
-                         mlps_cost * 100);
-            failed = true;
-        }
-        if (failed) return 1;
-        std::printf("gate: PASS (reduction %.1f%% >= 25%%, cost %.1f%% <= 10%%)\n",
-                    reduction * 100, mlps_cost * 100);
     }
     return 0;
 }

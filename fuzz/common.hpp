@@ -196,6 +196,7 @@ template <class Addr>
 
 /// Decodes a Poptrie configuration from one byte. Direct-pointing sizes are
 /// capped at 18 bits (a 1 MiB top array) so a fuzz execution stays cheap.
+/// Bit 0x20 is not a Config field; see decode_compact().
 [[nodiscard]] inline poptrie::Config decode_config(std::uint8_t b) noexcept
 {
     poptrie::Config cfg;
@@ -203,12 +204,12 @@ template <class Addr>
     cfg.direct_bits = direct_choices[b % 6];
     cfg.leaf_compression = (b & 0x40u) != 0;
     cfg.route_aggregation = (b & 0x80u) != 0;
-    // Dictionary-coded leaves only engage at compact() time; harnesses that
-    // set this must also run a compact under a QuiescentSection so the
-    // oracle cross-check actually covers the 8-bit decode path.
-    cfg.leaf_dict = (b & 0x20u) != 0;
     return cfg;
 }
+
+/// Bit 0x20 of the config byte: the harness compacts the trie (at a
+/// quiescent point) and replays its probes over the compacted layout.
+[[nodiscard]] inline bool decode_compact(std::uint8_t b) noexcept { return (b & 0x20u) != 0; }
 
 /// Collects the differential probe set for a route list: every prefix's
 /// first/last covered address and both one-off neighbours (the addresses

@@ -26,10 +26,10 @@
 // times in a row, so runs of equal keys both merge inside a call and
 // straddle call boundaries, where merging must stop and the key must walk.
 //
-// Config-byte bit 0x20 selects Config::leaf_dict: after the scalar and
-// batch probes, the table is compacted at a quiescent point (which is when
-// dictionary coding engages) and the probe set replays over the dict-coded
-// layout.
+// Config-byte bit 0x20 (fuzz::decode_compact): after the scalar and batch
+// probes, the table is compacted at a quiescent point and the probe set
+// replays over the compacted layout, which the auditor then checks against
+// compact()'s canonical DFS placement.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -91,7 +91,27 @@ void check_batch(const Poptrie& pt, const rib::RadixTrie<Addr>& oracle,
     }
 }
 
-void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg, std::size_t width)
+/// Compacts `pt` at a quiescent point and replays `probes` over the new
+/// layout against the oracle.
+template <class Addr, class Poptrie>
+void check_compacted(Poptrie& pt, const rib::RadixTrie<Addr>& oracle,
+                     const std::vector<typename Addr::value_type>& probes,
+                     const std::string& label)
+{
+    {
+        // quiescent: single-threaded harness — no reader exists.
+        const psync::QuiescentSection quiescent;
+        pt.compact();
+    }
+    for (const auto key : probes) {
+        const Addr a{key};
+        if (const auto want = oracle.lookup(a), got = pt.lookup(a); got != want)
+            mismatch(label, a, got, want);
+    }
+}
+
+void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg, bool compact,
+              std::size_t width)
 {
     using Addr = netbase::Ipv4Addr;
     const auto ops = fuzz::decode_ops<Addr>(in);
@@ -138,31 +158,17 @@ void run_ipv4(fuzz::ByteReader& in, const poptrie::Config& cfg, std::size_t widt
     // above already pinned the oracle answers.
     check_batch(pt, oracle, cfg.leaf_compression, width, probes, "lookup_batch");
 
-    // Dictionary-coded leaves (cfg.leaf_dict) only exist after a compact():
-    // run one at a quiescent point and replay the whole probe set over the
-    // re-laid-out (now dict-coded) structure, so the oracle cross-check
-    // covers the 8-bit decode path and the auditor below walks tagged runs.
-    if (cfg.leaf_dict) {
-        {
-            // quiescent: single-threaded harness — no reader exists.
-            const psync::QuiescentSection quiescent;
-            pt.compact();
-        }
-        for (const auto key : probes) {
-            const Addr a{key};
-            const auto want = oracle.lookup(a);
-            if (const auto got = pt.lookup(a); got != want)
-                mismatch("poptrie[dict-compacted]", a, got, want);
-        }
-    }
+    if (compact) check_compacted(pt, oracle, probes, "poptrie[compacted]");
 
     analysis::AuditOptions aopt;
     aopt.random_probes = 512;  // the heavy probing already happened above
+    aopt.expect_compacted = compact;
     const auto report = analysis::audit(pt, oracle, aopt);
     if (!report.ok()) fuzz::fail(kHarness, "poptrie-fsck audit failure", report.summary());
 }
 
-void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg, std::size_t width)
+void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg, bool compact,
+              std::size_t width)
 {
     using Addr = netbase::Ipv6Addr;
     const auto ops = fuzz::decode_ops<Addr>(in);
@@ -195,23 +201,11 @@ void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg, std::size_t widt
 
     check_batch(pt, oracle, cfg.leaf_compression, width, probes, "lookup_batch6");
 
-    // Same dict-compacted replay as the IPv4 leg.
-    if (cfg.leaf_dict) {
-        {
-            // quiescent: single-threaded harness — no reader exists.
-            const psync::QuiescentSection quiescent;
-            pt.compact();
-        }
-        for (const auto key : probes) {
-            const Addr a{key};
-            const auto want = oracle.lookup(a);
-            if (const auto got = pt.lookup(a); got != want)
-                mismatch("poptrie6[dict-compacted]", a, got, want);
-        }
-    }
+    if (compact) check_compacted(pt, oracle, probes, "poptrie6[compacted]");
 
     analysis::AuditOptions aopt;
     aopt.random_probes = 512;
+    aopt.expect_compacted = compact;
     const auto report = analysis::audit(pt, oracle, aopt);
     if (!report.ok()) fuzz::fail(kHarness, "poptrie-fsck audit failure", report.summary());
 }
@@ -221,15 +215,17 @@ void run_ipv6(fuzz::ByteReader& in, const poptrie::Config& cfg, std::size_t widt
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
 {
     fuzz::ByteReader in(data, size);
-    const auto cfg = fuzz::decode_config(in.u8());
+    const std::uint8_t config_byte = in.u8();
+    const auto cfg = fuzz::decode_config(config_byte);
+    const bool compact = fuzz::decode_compact(config_byte);
     const auto family_byte = in.u8();
     const bool v6 = (family_byte & 1u) != 0;
     // Bits 1-2 select the keys per lookup_batch call: 8, 16, or 32 (both
     // values 2 and 3 map to 32 so the label matches what actually ran).
     const std::size_t width = std::size_t{8} << std::min((family_byte >> 1) & 3u, 2u);
     if (v6)
-        run_ipv6(in, cfg, width);
+        run_ipv6(in, cfg, compact, width);
     else
-        run_ipv4(in, cfg, width);
+        run_ipv4(in, cfg, compact, width);
     return 0;
 }

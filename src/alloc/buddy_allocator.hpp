@@ -30,10 +30,10 @@ public:
     using index_type = std::uint32_t;
 
     /// Largest capacity the allocator will manage: 2^31 slots. The pools it
-    /// serves refer to slots through 32-bit indices whose MSB is reserved as
-    /// a tag (poptrie's kDirectLeafBit / kLeaf8Bit), so every index must stay
-    /// below bit 31 — and `capacity_ *= 2` past this would silently wrap the
-    /// 32-bit capacity to zero. grow() throws netbase::StructuralLimit
+    /// serves refer to slots through 32-bit indices, and a poptrie direct slot
+    /// reserves the MSB as its kDirectLeafBit tag, so node indices must stay
+    /// below bit 31 (leaf pools share the same cap) — and `capacity_ *= 2`
+    /// past this would silently wrap the 32-bit capacity to zero. grow() throws netbase::StructuralLimit
     /// instead of crossing it.
     static constexpr index_type kMaxCapacity = index_type{1} << 31;
 

@@ -146,8 +146,6 @@ public:
     StructureWalker(const PT& pt, AuditReport& r)
         : nodes_(AuditAccess::nodes(pt)),
           leaves_(AuditAccess::leaves(pt)),
-          leaves8_(AuditAccess::leaves8(pt)),
-          leaf_dict_(AuditAccess::leaf_dict(pt)),
           leaf_compression_(pt.config().leaf_compression),
           report_(r),
           visited_(nodes_.size(), false)
@@ -171,9 +169,6 @@ public:
     /// Live node/leaf runs collected so far (roots, child arrays, leaf runs).
     [[nodiscard]] const std::vector<LiveRun>& node_runs() const noexcept { return node_runs_; }
     [[nodiscard]] const std::vector<LiveRun>& leaf_runs() const noexcept { return leaf_runs_; }
-    /// Dict-coded (kLeaf8Bit) runs: offset/count in the dense code array
-    /// (size == count — these are never buddy-allocated or padded).
-    [[nodiscard]] const std::vector<LiveRun>& leaf8_runs() const noexcept { return leaf8_runs_; }
 
 private:
     void walk_node(std::uint32_t index, unsigned level, const std::string& where)
@@ -218,43 +213,8 @@ private:
                             where + ": node " + std::to_string(index));
         }
 
-        // Leaf run: bounds, alignment (16-bit pool only — dict-coded runs
-        // are dense, unaligned bump placements), minimality over the
-        // *decoded* values either way.
-        if (nleaves != 0 && (n.base0 & poptrie::kLeaf8Bit)) {
-            const std::uint32_t off = n.base0 & ~poptrie::kLeaf8Bit;
-            if (std::uint64_t{off} + nleaves > leaves8_.size()) {
-                report_.add("leaf8-run-out-of-range",
-                            where + ": node " + std::to_string(index) + " code offset " +
-                                std::to_string(off) + " +" + std::to_string(nleaves) +
-                                " > code array size " + std::to_string(leaves8_.size()));
-            } else {
-                leaf8_runs_.push_back({off, nleaves, nleaves});
-                report_.leaves_checked += nleaves;
-                bool codes_ok = true;
-                for (std::uint32_t i = 0; i < nleaves; ++i) {
-                    if (leaves8_[off + i] >= leaf_dict_.size()) {
-                        report_.add("leaf8-code-out-of-dict",
-                                    where + ": node " + std::to_string(index) + " code " +
-                                        std::to_string(leaves8_[off + i]) +
-                                        " >= dictionary size " +
-                                        std::to_string(leaf_dict_.size()));
-                        codes_ok = false;
-                    }
-                }
-                if (codes_ok && leaf_compression_) {
-                    for (std::uint32_t i = 1; i < nleaves; ++i) {
-                        if (leaf_dict_[leaves8_[off + i]] == leaf_dict_[leaves8_[off + i - 1]]) {
-                            report_.add("leaf-run-not-minimal",
-                                        where + ": node " + std::to_string(index) +
-                                            " dict-coded leaves " + std::to_string(i - 1) +
-                                            "," + std::to_string(i) + " repeat next hop " +
-                                            std::to_string(leaf_dict_[leaves8_[off + i]]));
-                        }
-                    }
-                }
-            }
-        } else if (nleaves != 0) {
+        // Leaf run: bounds, alignment, minimality.
+        if (nleaves != 0) {
             const auto block = alloc::BuddyAllocator::block_size_for(nleaves);
             if (std::uint64_t{n.base0} + block > leaves_.size()) {
                 report_.add("leaf-run-out-of-range",
@@ -306,14 +266,11 @@ private:
 
     const typename PT::NodePool& nodes_;
     const typename PT::LeafPool& leaves_;
-    const typename PT::Leaf8Pool& leaves8_;
-    const typename PT::LeafPool& leaf_dict_;
     bool leaf_compression_;
     AuditReport& report_;
     std::vector<bool> visited_;
     std::vector<LiveRun> node_runs_;
     std::vector<LiveRun> leaf_runs_;
-    std::vector<LiveRun> leaf8_runs_;
 };
 
 /// Cross-checks the live runs collected by the walk against one buddy
@@ -397,61 +354,6 @@ void check_compacted_layout(AuditReport& r, const std::vector<LiveRun>& runs,
                                        std::to_string(cursor));
 }
 
-/// Dict-coded run checks: no two tagged runs may share code slots, the live
-/// count must match the trie's leaf8 accounting, and the dictionary must be
-/// sorted strictly ascending (compact() emits it that way — a violation
-/// means someone scribbled on it). Under expect_compacted the runs must
-/// additionally replay compact()'s dense bump exactly: run i starts where
-/// run i-1 ended and the array holds not one code more.
-void check_leaf8_runs(AuditReport& r, std::vector<LiveRun> runs, std::size_t code_array_size,
-                      std::size_t dict_size, const std::vector<rib::NextHop>& dict_values,
-                      std::uint64_t expected_count, bool expect_compacted)
-{
-    for (std::size_t i = 1; i < dict_size; ++i)
-        if (dict_values[i] <= dict_values[i - 1])
-            r.add("leaf8-dict-unsorted",
-                  "dictionary entries " + std::to_string(i - 1) + "," + std::to_string(i) +
-                      " not strictly ascending (" + std::to_string(dict_values[i - 1]) +
-                      ", " + std::to_string(dict_values[i]) + ")");
-
-    if (expect_compacted) {
-        // DFS order, pre-sort: the walker records runs in compact()'s
-        // traversal order, so the dense replay compares run by run.
-        std::uint64_t cursor = 0;
-        bool dense_ok = true;
-        for (const auto& run : runs) {
-            if (run.offset != cursor) {
-                r.add("leaf8-not-compacted",
-                      "dict-coded run of " + std::to_string(run.count) + " at " +
-                          std::to_string(run.offset) + ", dense DFS layout says " +
-                          std::to_string(cursor));
-                dense_ok = false;
-                break;  // every later offset shifts too
-            }
-            cursor += run.count;
-        }
-        if (dense_ok && cursor != code_array_size)
-            r.add("leaf8-not-dense", "code array size " + std::to_string(code_array_size) +
-                                         " != dense layout extent " + std::to_string(cursor));
-    }
-
-    std::sort(runs.begin(), runs.end(),
-              [](const LiveRun& a, const LiveRun& b) { return a.offset < b.offset; });
-    std::uint64_t count_total = 0;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        count_total += runs[i].count;
-        if (i != 0 && std::uint64_t{runs[i - 1].offset} + runs[i - 1].count > runs[i].offset)
-            r.add("leaf8-runs-overlap",
-                  "code runs at " + std::to_string(runs[i - 1].offset) + "(+" +
-                      std::to_string(runs[i - 1].count) + ") and " +
-                      std::to_string(runs[i].offset) + " overlap");
-    }
-    if (count_total != expected_count)
-        r.add("leaf8-count-mismatch", "reachable " + std::to_string(count_total) +
-                                          " dict-coded slots, accounting says " +
-                                          std::to_string(expected_count));
-}
-
 template <class Addr>
 typename Addr::value_type random_key(workload::Xorshift128& rng)
 {
@@ -506,17 +408,8 @@ AuditReport audit(const poptrie::Poptrie<Addr>& pt, const rib::RadixTrie<Addr>& 
     const std::size_t pending = AuditAccess::ebr(pt).pending();
     check_runs_against_allocator(r, walker.node_runs(), AuditAccess::node_alloc(pt), pending,
                                  AuditAccess::inode_count(pt), "node");
-    // The buddy allocator only tracks the 16-bit pool; dict-coded slots are
-    // bump-placed in the code array and accounted separately below.
     check_runs_against_allocator(r, walker.leaf_runs(), AuditAccess::leaf_alloc(pt), pending,
-                                 AuditAccess::leaf_count(pt) - AuditAccess::leaf8_live(pt),
-                                 "leaf");
-    {
-        const auto& dict = AuditAccess::leaf_dict(pt);
-        std::vector<rib::NextHop> dict_values(dict.data(), dict.data() + dict.size());
-        check_leaf8_runs(r, walker.leaf8_runs(), AuditAccess::leaves8(pt).size(), dict.size(),
-                         dict_values, AuditAccess::leaf8_live(pt), opt.expect_compacted);
-    }
+                                 AuditAccess::leaf_count(pt), "leaf");
     if (nodes.size() != AuditAccess::node_alloc(pt).capacity())
         r.add("node-pool-size-mismatch",
               "pool " + std::to_string(nodes.size()) + " != allocator capacity " +

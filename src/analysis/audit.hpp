@@ -178,26 +178,6 @@ struct AuditAccess {
         return p.leaves_;
     }
     template <class Addr>
-    [[nodiscard]] static const auto& leaves8(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaves8_;
-    }
-    template <class Addr>
-    [[nodiscard]] static auto& leaves8(PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaves8_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const auto& leaf_dict(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaf_dict_;
-    }
-    template <class Addr>
-    [[nodiscard]] static auto& leaf_dict(PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaf_dict_;
-    }
-    template <class Addr>
     [[nodiscard]] static const auto& direct(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
     {
         return p.direct_;
@@ -236,11 +216,6 @@ struct AuditAccess {
     [[nodiscard]] static std::size_t leaf_count(const PT<Addr>& p) noexcept
     {
         return p.leaf_count_;
-    }
-    template <class Addr>
-    [[nodiscard]] static std::size_t leaf8_live(const PT<Addr>& p) noexcept
-    {
-        return p.leaf8_live_;
     }
 };
 

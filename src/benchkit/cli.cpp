@@ -1,7 +1,9 @@
 #include "benchkit/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <iterator>
 
 namespace benchkit {
 namespace {
@@ -49,25 +51,30 @@ std::string Args::get(std::string_view name, std::string fallback) const
         const auto v = value_of(a, name);
         if (v.data() != nullptr && !v.empty()) return std::string{v};
     }
+    if (has(name)) malformed_.push_back("missing value for --" + std::string{name});
+    return fallback;
+}
+
+template <class T>
+T Args::parse_number(std::string_view name, T fallback) const
+{
+    const auto s = get(name, "");
+    if (s.empty()) return fallback;
+    T v = 0;
+    const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec == std::errc{} && p == s.data() + s.size()) return v;
+    malformed_.push_back("malformed value '" + s + "' for --" + std::string{name});
     return fallback;
 }
 
 std::uint64_t Args::get_u64(std::string_view name, std::uint64_t fallback) const
 {
-    const auto s = get(name, "");
-    if (s.empty()) return fallback;
-    std::uint64_t v = 0;
-    const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    return (ec == std::errc{} && p == s.data() + s.size()) ? v : fallback;
+    return parse_number(name, fallback);
 }
 
 double Args::get_double(std::string_view name, double fallback) const
 {
-    const auto s = get(name, "");
-    if (s.empty()) return fallback;
-    double v = 0;
-    const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-    return (ec == std::errc{} && p == s.data() + s.size()) ? v : fallback;
+    return parse_number(name, fallback);
 }
 
 std::size_t Args::lookups(std::size_t quick, std::size_t full) const
@@ -95,6 +102,23 @@ bool Args::handle_help(std::string_view bench_name, std::string_view extra) cons
     if (!extra.empty())
         std::printf("%.*s\n", static_cast<int>(extra.size()), extra.data());
     return true;
+}
+
+std::string Args::check(std::initializer_list<std::string_view> known) const
+{
+    constexpr std::string_view kStandard[] = {"help",   "quick", "full",    "lookups",
+                                              "trials", "seed",  "json-out"};
+    for (const auto& a : args_) {
+        const std::string_view body =
+            a.starts_with("--") ? std::string_view{a}.substr(2) : std::string_view{};
+        const std::string_view name = body.substr(0, body.find('='));
+        const auto is = [name](std::string_view k) { return k == name; };
+        const bool ok = !name.empty() && (std::any_of(known.begin(), known.end(), is) ||
+                                          std::any_of(std::begin(kStandard),
+                                                      std::end(kStandard), is));
+        if (!ok) return "unknown option '" + a + "'";
+    }
+    return malformed_.empty() ? std::string{} : malformed_.front();
 }
 
 }  // namespace benchkit

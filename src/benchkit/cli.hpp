@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,7 +27,9 @@ public:
     /// True if "--name" (with or without value) was passed.
     [[nodiscard]] bool has(std::string_view name) const;
 
-    /// Value of "--name=value", or `fallback`.
+    /// Value of "--name=value", or `fallback` when the flag is absent. A
+    /// flag given without a value, or a numeric one whose value does not
+    /// parse, also yields `fallback`, and is remembered for check().
     [[nodiscard]] std::uint64_t get_u64(std::string_view name, std::uint64_t fallback) const;
     [[nodiscard]] double get_double(std::string_view name, double fallback) const;
     [[nodiscard]] std::string get(std::string_view name, std::string fallback) const;
@@ -45,8 +48,23 @@ public:
     /// Prints standard usage plus `extra` and returns true if --help given.
     bool handle_help(std::string_view bench_name, std::string_view extra = {}) const;
 
+    /// Validates the command line once every flag has been read: each
+    /// argument must be "--name" or "--name=value" with `name` in `known` or
+    /// among the standard flags above, and no get/get_u64/get_double call
+    /// may have met a missing or malformed value. Returns the first problem as a message
+    /// that names the flag, or an empty string when the line is clean.
+    [[nodiscard]] std::string check(std::initializer_list<std::string_view> known) const;
+
 private:
+    /// get_u64/get_double: parses --name as a T, recording an unparsable
+    /// value in malformed_.
+    template <class T>
+    T parse_number(std::string_view name, T fallback) const;
+
     std::vector<std::string> args_;
+    // Written by the const getters: a malformed value is found where it is
+    // parsed, and reported by check() after the caller's option block.
+    mutable std::vector<std::string> malformed_;
 };
 
 }  // namespace benchkit

@@ -27,19 +27,6 @@ struct Config {
     /// subtree merging + redundant-route removal) before building the FIB.
     bool route_aggregation = true;
 
-    /// Dictionary-coded leaf storage (an extension beyond the paper, in the
-    /// spirit of Rétvári et al.'s entropy bounds): real tables use far fewer
-    /// distinct next hops than the 16-bit leaf model can express, so at
-    /// compact()/snapshot time — never on the update path — the reachable
-    /// leaf runs are re-encoded as 8-bit codes into a dense side array plus a
-    /// <= 256-entry dictionary. A re-encoded run is addressed by
-    /// kLeaf8Bit | offset, so the hot path stays a popcount-indexed load with
-    /// one predictable tag test. Tables with > 256 distinct next hops fall
-    /// back to the plain 16-bit layout at compact time (lookup results are
-    /// identical either way). Post-compaction incremental updates allocate
-    /// plain 16-bit runs; the next compact() re-encodes them.
-    bool leaf_dict = false;
-
     /// Initial pool capacity in nodes/leaves is the built size times
     /// 2^pool_headroom_log2, so incremental updates rarely need to grow the
     /// pools (growing is not safe under concurrent lookups; see Poptrie docs).
@@ -76,15 +63,6 @@ inline constexpr unsigned kMaxDirectBits = 30;
 /// trivially in range.
 inline constexpr unsigned kMaxPoolHeadroomLog2 = 16;
 
-/// Leaf-index tag for Config::leaf_dict: a Node::base0 with this MSB set
-/// addresses a dictionary-coded 8-bit run at `base0 & ~kLeaf8Bit` in the
-/// dense code array instead of a 16-bit run in the leaf pool. Shares the
-/// "bit 31 is a tag, payload stays below it" convention with kDirectLeafBit
-/// (the two live in disjoint index spaces: direct slots vs leaf indices).
-/// The buddy allocator's kMaxCapacity of 2^31 slots is what keeps every
-/// tagged index unambiguous.
-inline constexpr std::uint32_t kLeaf8Bit = 0x8000'0000u;
-
 static_assert((std::uint64_t{1} << kStrideBits) == 64,
               "Node::vector/leafvec are std::uint64_t with one bit per child: "
               "the stride must be exactly 64-ary (k = 6, §3.1)");
@@ -119,15 +97,8 @@ struct Stats {
     std::size_t leaves = 0;          ///< "# of leaves"
     std::size_t direct_slots = 0;    ///< 2^s (0 when direct pointing is off)
 
-    /// Leaf slots currently served from the dictionary-coded 8-bit array
-    /// (Config::leaf_dict; populated by compact()), and the dictionary's
-    /// entry count. leaves - leaf8_slots is the plain 16-bit remainder.
-    std::size_t leaf8_slots = 0;
-    std::size_t leaf_dict_entries = 0;
-
     /// Paper-style analytic footprint: inodes x (24 or 16 in basic mode)
-    /// + 16-bit leaves x 2 + dict-coded leaves x 1 + dict entries x 2
-    /// + direct slots x 4 bytes.
+    /// + leaves x 2 + direct slots x 4 bytes.
     std::size_t memory_bytes = 0;
 
     /// Actual bytes reserved by the node/leaf pools and the direct array

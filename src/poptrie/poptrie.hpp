@@ -77,9 +77,6 @@ public:
     static constexpr std::uint32_t kDirectLeafBit = 0x8000'0000u;
     static_assert(kDirectLeafBit == batch::kDirectLeafBitValue,
                   "lookup_walk.ipp restates the flag to stay template-free");
-    /// Dictionary-coded leaf-run flag (Config::leaf_dict): a base0 with this
-    /// MSB set addresses an 8-bit code run, not a 16-bit leaf run (config.hpp).
-    static constexpr std::uint32_t kLeaf8Bit = poptrie::kLeaf8Bit;
 
     /// Internal node, exactly the paper's layout: 24 bytes with leafvec,
     /// 16 effective bytes in "basic" mode (leafvec unused).
@@ -109,8 +106,6 @@ public:
     using NodePool = alloc::ArenaVector<Node>;
     using LeafPool = alloc::ArenaVector<NextHop>;
     using DirectPool = alloc::ArenaVector<std::uint32_t>;
-    /// Dense 8-bit code array for dict-coded leaf runs (Config::leaf_dict).
-    using Leaf8Pool = alloc::ArenaVector<std::uint8_t>;
 
     /// Builds an empty FIB (every lookup returns rib::kNoRoute).
     explicit Poptrie(const Config& cfg = {});
@@ -156,8 +151,7 @@ public:
         POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
     {
         const batch::AtomicView<value_type, Node> view{
-            {nodes_.data(), leaves_.data(), direct_.data(), &root_, leaves8_.data(),
-             leaf_dict_.data()}};
+            {nodes_.data(), leaves_.data(), direct_.data(), &root_}};
         // One config read per call: the direct/root dispatch is loop-
         // invariant, so hoist it instead of re-reading cfg_ per key.
         batch::lookup_many<UseLeafvec>(view, keys, out, n, cfg_.direct_bits);
@@ -279,28 +273,16 @@ private:
         std::vector<std::pair<std::uint32_t, std::uint32_t>> leaf_runs;
         std::uint64_t node_cursor = 0;
         std::uint64_t leaf_cursor = 0;
-        // Config::leaf_dict re-encoding state: when `encode` is set, leaf
-        // runs land as dense 8-bit codes in `leaves8` (bump cursor, no
-        // alignment — codes are never buddy-allocated) and `code_of` maps a
-        // 16-bit next hop to its dictionary index.
-        Leaf8Pool leaves8;
-        LeafPool leaf_dict;
-        std::uint64_t leaf8_cursor = 0;
-        bool encode = false;
-        std::vector<std::uint8_t> code_of;
     };
     std::uint32_t compact_root(std::uint32_t index, CompactPools& out)
         POPTRIE_REQUIRES(psync::cap::ebr);
     Node compact_node(const Node& n, CompactPools& out) POPTRIE_REQUIRES(psync::cap::ebr);
-    /// Pre-scan for compact(): marks every distinct next-hop value reachable
-    /// from `n`'s leaf runs in `seen` (a 65536-entry table).
-    void collect_leaf_values(const Node& n, bool* seen) const
-        POPTRIE_REQUIRES(psync::cap::ebr);
 
     /// The pools as one scalar lookup reads them: each base pointer is
     /// loaded where the walk first needs it (see batch::PoolPointers).
-    /// Measured on a 100k-route table, copying all six up front made
-    /// lookup_raw 10-25% slower. Used only inside lookup_raw's read section.
+    /// Measured on a 100k-route table when there were six base pointers,
+    /// copying them all up front made lookup_raw 10-25% slower. Used only
+    /// inside lookup_raw's read section.
     struct LivePools {
         const Poptrie* trie;
         // no-TSA: every caller runs inside lookup_raw's EbrReadSection; the
@@ -321,14 +303,6 @@ private:
         {
             return &trie->root_;
         }
-        POPTRIE_HOT [[nodiscard]] const std::uint8_t* leaves8() const noexcept POPTRIE_NO_TSA
-        {
-            return trie->leaves8_.data();
-        }
-        POPTRIE_HOT [[nodiscard]] const NextHop* leaf_dict() const noexcept POPTRIE_NO_TSA
-        {
-            return trie->leaf_dict_.data();
-        }
     };
 
     POPTRIE_HOT [[nodiscard]] std::uint32_t old_child_index(const Node& n, unsigned u) const noexcept
@@ -340,25 +314,14 @@ private:
                1;
     }
 
-    /// Decodes one leaf slot by (possibly tagged) index: a kLeaf8Bit index
-    /// reads the dense 8-bit code array through the dictionary, a plain index
-    /// reads the 16-bit leaf pool. Control-path twin of the hot-path decode
-    /// in batch::AtomicView::leaf; the updater and compactor funnel every leaf read here.
-    [[nodiscard]] NextHop leaf_at(std::uint32_t i) const noexcept
-        POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
-    {
-        if (i & kLeaf8Bit) return leaf_dict_[leaves8_[i & ~kLeaf8Bit]];
-        return leaves_[i];
-    }
-
     POPTRIE_HOT [[nodiscard]] NextHop old_leaf_value(const Node& n, unsigned u) const noexcept
         POPTRIE_REQUIRES_SHARED(psync::cap::ebr)
     {
         const std::uint64_t lv = cfg_.leaf_compression ? n.leafvec : ~n.vector;
-        return leaf_at(n.base0 +
+        return leaves_[n.base0 +
                        static_cast<std::uint32_t>(
                            netbase::popcount64(lv & netbase::low_mask_inclusive(u))) -
-                       1);
+                       1];
     }
 
     [[nodiscard]] std::uint32_t leaf_count_of(const Node& n) const noexcept
@@ -379,13 +342,6 @@ private:
     // the single writer may mutate them (GUARDED_BY/PT_GUARDED_BY below).
     NodePool nodes_ POPTRIE_GUARDED_BY(psync::cap::ebr) = NodePool{arena_.get()};
     LeafPool leaves_ POPTRIE_GUARDED_BY(psync::cap::ebr) = LeafPool{arena_.get()};
-    // Dict-coded leaf storage (Config::leaf_dict): dense 8-bit codes plus the
-    // <= 256-entry dictionary. Written only by compact() at a quiescent
-    // point; between compactions the contents are immutable (the updater
-    // only *drops* tagged runs, it never writes them), so readers reach them
-    // with relaxed loads through the published base0 indices.
-    Leaf8Pool leaves8_ POPTRIE_GUARDED_BY(psync::cap::ebr) = Leaf8Pool{arena_.get()};
-    LeafPool leaf_dict_ POPTRIE_GUARDED_BY(psync::cap::ebr) = LeafPool{arena_.get()};
     // 2^s entries when direct_bits > 0.
     DirectPool direct_ POPTRIE_GUARDED_BY(psync::cap::ebr) = DirectPool{arena_.get()};
     // Root node index when direct_bits == 0.
@@ -399,10 +355,6 @@ private:
     std::unique_ptr<psync::EbrDomain> ebr_ = std::make_unique<psync::EbrDomain>();
     std::size_t inode_count_ = 0;
     std::size_t leaf_count_ = 0;
-    // Of leaf_count_, how many slots live in the dict-coded 8-bit array.
-    // leaf_count_ - leaf8_live_ is the 16-bit pool's live population, which
-    // is what the headroom policy and the allocator cross-check care about.
-    std::size_t leaf8_live_ = 0;
     UpdateCounters updates_{};
     bool in_update_ = false;
 

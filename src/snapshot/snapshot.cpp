@@ -112,18 +112,11 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     const auto& nodes = SnapshotAccess::nodes(fib);
     const auto& leaves = SnapshotAccess::leaves(fib);
     const auto& direct = SnapshotAccess::direct(fib);
-    const auto& leaves8 = SnapshotAccess::leaves8(fib);
-    const auto& leaf_dict = SnapshotAccess::leaf_dict(fib);
     // The touched extent of each pool: every reachable index is below the
-    // allocator's high-water mark, so nothing past it needs to survive. The
-    // dict-coded array has no allocator — its full extent is the compaction
-    // bump cursor (tagged base0 offsets are never reused, so every reachable
-    // one is below leaves8.size()).
+    // allocator's high-water mark, so nothing past it needs to survive.
     const std::uint64_t node_count = SnapshotAccess::node_alloc(fib).high_water();
     const std::uint64_t leaf_count = SnapshotAccess::leaf_alloc(fib).high_water();
     const std::uint64_t direct_count = direct.size();
-    const std::uint64_t leaf8_count = leaves8.size();
-    const std::uint64_t leaf_dict_count = leaf_dict.size();
 
     ImageHeader hdr;
     std::memcpy(hdr.magic, kMagic, sizeof(kMagic));
@@ -138,13 +131,10 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     hdr.route_aggregation = cfg.route_aggregation ? 1 : 0;
     hdr.pool_headroom_log2 = static_cast<std::uint8_t>(cfg.pool_headroom_log2);
     hdr.hugepage_policy = static_cast<std::uint8_t>(cfg.hugepages);
-    hdr.leaf_dict_enabled = cfg.leaf_dict ? 1 : 0;
     hdr.root_index = SnapshotAccess::root(fib);
     hdr.node_count = node_count;
     hdr.leaf_count = leaf_count;
     hdr.direct_count = direct_count;
-    hdr.leaf8_count = leaf8_count;
-    hdr.leaf_dict_count = leaf_dict_count;
     hdr.inode_live = SnapshotAccess::inode_count(fib);
     hdr.leaf_live = SnapshotAccess::leaf_count(fib);
     const benchkit::Provenance prov = benchkit::provenance();
@@ -157,11 +147,7 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     const std::uint64_t leaves_bytes = leaf_count * sizeof(rib::NextHop);
     const std::uint64_t direct_off = align_up(leaves_off + leaves_bytes, kSectionAlign);
     const std::uint64_t direct_bytes = direct_count * sizeof(std::uint32_t);
-    const std::uint64_t leaves8_off = align_up(direct_off + direct_bytes, kSectionAlign);
-    const std::uint64_t leaves8_bytes = leaf8_count * sizeof(std::uint8_t);
-    const std::uint64_t dict_off = align_up(leaves8_off + leaves8_bytes, kSectionAlign);
-    const std::uint64_t dict_bytes = leaf_dict_count * sizeof(rib::NextHop);
-    hdr.total_bytes = dict_off + dict_bytes;
+    hdr.total_bytes = direct_off + direct_bytes;
 
     std::vector<std::uint8_t> out(static_cast<std::size_t>(hdr.total_bytes), 0);
     if (nodes_bytes != 0)
@@ -172,18 +158,9 @@ std::vector<std::uint8_t> serialize(const poptrie::Poptrie<Addr>& fib)
     if (direct_bytes != 0)
         std::memcpy(out.data() + direct_off, direct.data(),
                     static_cast<std::size_t>(direct_bytes));
-    if (leaves8_bytes != 0)
-        std::memcpy(out.data() + leaves8_off, leaves8.data(),
-                    static_cast<std::size_t>(leaves8_bytes));
-    if (dict_bytes != 0)
-        std::memcpy(out.data() + dict_off, leaf_dict.data(),
-                    static_cast<std::size_t>(dict_bytes));
     hdr.nodes = {nodes_off, nodes_bytes, fnv1a64(out.data() + nodes_off, nodes_bytes)};
     hdr.leaves = {leaves_off, leaves_bytes, fnv1a64(out.data() + leaves_off, leaves_bytes)};
     hdr.direct = {direct_off, direct_bytes, fnv1a64(out.data() + direct_off, direct_bytes)};
-    hdr.leaves8 = {leaves8_off, leaves8_bytes,
-                   fnv1a64(out.data() + leaves8_off, leaves8_bytes)};
-    hdr.leaf_dict = {dict_off, dict_bytes, fnv1a64(out.data() + dict_off, dict_bytes)};
     hdr.payload_checksum = fnv1a64(out.data() + hdr.header_bytes,
                                    static_cast<std::size_t>(hdr.total_bytes) - hdr.header_bytes);
     hdr.header_checksum = fnv1a64(&hdr, sizeof(hdr));
@@ -261,22 +238,10 @@ void SnapshotFib<Addr>::attach(const std::uint8_t* base, std::size_t size)
                      hdr_.total_bytes, "leaf");
     validate_section(hdr_.direct, hdr_.direct_count, sizeof(std::uint32_t), hdr_.header_bytes,
                      hdr_.total_bytes, "direct");
-    validate_section(hdr_.leaves8, hdr_.leaf8_count, sizeof(std::uint8_t), hdr_.header_bytes,
-                     hdr_.total_bytes, "leaf8");
-    validate_section(hdr_.leaf_dict, hdr_.leaf_dict_count, sizeof(NextHop), hdr_.header_bytes,
-                     hdr_.total_bytes, "leaf-dict");
-    // A dictionary past the 8-bit code space, or codes with no dictionary to
-    // decode through, cannot have come from the writer.
-    if (hdr_.leaf_dict_count > 256)
-        throw ImageError("leaf dictionary exceeds the 8-bit code space");
-    if (hdr_.leaf8_count != 0 && hdr_.leaf_dict_count == 0)
-        throw ImageError("dict-coded leaves present but the dictionary is empty");
     // Sections must be disjoint and in writer order; anything else is a
     // forged layout even if each section is individually in bounds.
     if (hdr_.nodes.offset + hdr_.nodes.bytes > hdr_.leaves.offset ||
-        hdr_.leaves.offset + hdr_.leaves.bytes > hdr_.direct.offset ||
-        hdr_.direct.offset + hdr_.direct.bytes > hdr_.leaves8.offset ||
-        hdr_.leaves8.offset + hdr_.leaves8.bytes > hdr_.leaf_dict.offset)
+        hdr_.leaves.offset + hdr_.leaves.bytes > hdr_.direct.offset)
         throw ImageError("snapshot sections overlap");
     if (hdr_.direct_bits == 0 &&
         (hdr_.node_count == 0 || hdr_.root_index >= hdr_.node_count))
@@ -286,14 +251,10 @@ void SnapshotFib<Addr>::attach(const std::uint8_t* base, std::size_t size)
     check_section_sum(hdr_.nodes, base, "node");
     check_section_sum(hdr_.leaves, base, "leaf");
     check_section_sum(hdr_.direct, base, "direct");
-    check_section_sum(hdr_.leaves8, base, "leaf8");
-    check_section_sum(hdr_.leaf_dict, base, "leaf-dict");
 
     nodes_ = reinterpret_cast<const Node*>(base + hdr_.nodes.offset);
     leaves_ = reinterpret_cast<const NextHop*>(base + hdr_.leaves.offset);
     direct_ = reinterpret_cast<const std::uint32_t*>(base + hdr_.direct.offset);
-    leaves8_ = base + hdr_.leaves8.offset;
-    leaf_dict_ = reinterpret_cast<const NextHop*>(base + hdr_.leaf_dict.offset);
     root_ = hdr_.root_index;
     direct_bits_ = hdr_.direct_bits;
     leaf_compression_ = hdr_.leaf_compression != 0;
@@ -353,7 +314,6 @@ poptrie::Config SnapshotFib<Addr>::config() const noexcept
     cfg.route_aggregation = hdr_.route_aggregation != 0;
     cfg.pool_headroom_log2 = hdr_.pool_headroom_log2;
     cfg.hugepages = static_cast<alloc::HugepagePolicy>(hdr_.hugepage_policy);
-    cfg.leaf_dict = hdr_.leaf_dict_enabled != 0;
     return cfg;
 }
 
@@ -430,26 +390,7 @@ private:
                 add(where + ": node " + std::to_string(index) + " has leafvec set in basic mode");
         }
 
-        if (nleaves != 0 && (n.base0 & kLeaf8Bit) != 0) {
-            // Dict-coded run (v2): dense, unaligned, every code inside the
-            // dictionary. The offset is into the 8-bit code section.
-            const std::uint32_t off = n.base0 & ~kLeaf8Bit;
-            if (std::uint64_t{off} + nleaves > fib_.leaf8_count()) {
-                add(where + ": node " + std::to_string(index) + " dict-coded leaf run at " +
-                    std::to_string(off) + "(+" + std::to_string(nleaves) +
-                    ") exceeds leaf8 count " + std::to_string(fib_.leaf8_count()));
-            } else {
-                report_.leaves_checked += nleaves;
-                for (std::uint32_t i = 0; i < nleaves; ++i)
-                    if (fib_.leaves8_data()[off + i] >= fib_.leaf_dict_count()) {
-                        add(where + ": node " + std::to_string(index) + " leaf code " +
-                            std::to_string(fib_.leaves8_data()[off + i]) +
-                            " outside the dictionary (" +
-                            std::to_string(fib_.leaf_dict_count()) + " entries)");
-                        break;
-                    }
-            }
-        } else if (nleaves != 0) {
+        if (nleaves != 0) {
             const auto block = alloc::BuddyAllocator::block_size_for(nleaves);
             if (std::uint64_t{n.base0} + block > fib_.leaf_count()) {
                 add(where + ": node " + std::to_string(index) + " leaf run at " +
@@ -480,7 +421,6 @@ private:
     }
 
     static constexpr std::size_t kMaxRecorded = 64;
-    static constexpr std::uint32_t kLeaf8Bit = poptrie::kLeaf8Bit;
 
     const Fib& fib_;
     bool leaf_compression_;

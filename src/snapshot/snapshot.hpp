@@ -61,7 +61,7 @@ public:
 };
 
 inline constexpr char kMagic[8] = {'P', 'O', 'P', 'T', 'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 /// Written as a native uint32: a loader on the other byte order reads
 /// 0x04030201 and rejects the image instead of mis-decoding it.
 inline constexpr std::uint32_t kEndianTag = 0x01020304u;
@@ -99,8 +99,7 @@ struct ImageHeader {
     std::uint8_t route_aggregation = 0;
     std::uint8_t pool_headroom_log2 = 0;
     std::uint8_t hugepage_policy = 0;
-    std::uint8_t leaf_dict_enabled = 0;  ///< Config::leaf_dict (v2)
-    std::uint8_t reserved8[2] = {};
+    std::uint8_t reserved8[3] = {};
     std::uint32_t root_index = 0;  ///< published root when direct_bits == 0
     std::uint32_t reserved32 = 0;
     std::uint64_t node_count = 0;    ///< node slots serialized ([0, high water))
@@ -108,21 +107,17 @@ struct ImageHeader {
     std::uint64_t direct_count = 0;  ///< direct slots (2^direct_bits or 0)
     std::uint64_t inode_live = 0;    ///< live internal nodes (stats echo)
     std::uint64_t leaf_live = 0;     ///< live leaf slots (stats echo)
-    std::uint64_t leaf8_count = 0;      ///< dict-coded leaf slots serialized (v2)
-    std::uint64_t leaf_dict_count = 0;  ///< dictionary entries (≤ 256, v2)
-    std::uint64_t total_bytes = 0;      ///< whole image, header included
+    std::uint64_t total_bytes = 0;   ///< whole image, header included
     SectionDesc nodes;
     SectionDesc leaves;
     SectionDesc direct;
-    SectionDesc leaves8;    ///< 8-bit leaf codes (v2; empty unless dict-encoded)
-    SectionDesc leaf_dict;  ///< dictionary next-hop values (v2)
     char git_sha[24] = {};     ///< benchkit provenance, NUL-padded
     char build_type[16] = {};  ///< CMake build type at write time
     std::uint64_t payload_checksum = 0;  ///< fnv1a64 over [header_bytes, total_bytes)
     std::uint64_t header_checksum = 0;   ///< fnv1a64 over the header, this field 0
 };
 static_assert(std::is_trivially_copyable_v<ImageHeader>);
-static_assert(sizeof(ImageHeader) == 288, "bump kFormatVersion when the header grows");
+static_assert(sizeof(ImageHeader) == 224, "bump kFormatVersion when the header grows");
 
 /// The single point of access to Poptrie internals for the image writer
 /// (declared a friend there, exactly like analysis::AuditAccess). The pool
@@ -142,16 +137,6 @@ struct SnapshotAccess {
     [[nodiscard]] static const auto& leaves(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
     {
         return p.leaves_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const auto& leaves8(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaves8_;
-    }
-    template <class Addr>
-    [[nodiscard]] static const auto& leaf_dict(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
-    {
-        return p.leaf_dict_;
     }
     template <class Addr>
     [[nodiscard]] static const auto& direct(const PT<Addr>& p) noexcept POPTRIE_NO_TSA
@@ -256,8 +241,6 @@ public:
           nodes_(other.nodes_),
           leaves_(other.leaves_),
           direct_(other.direct_),
-          leaves8_(other.leaves8_),
-          leaf_dict_(other.leaf_dict_),
           root_(other.root_),
           direct_bits_(other.direct_bits_),
           leaf_compression_(other.leaf_compression_)
@@ -265,8 +248,6 @@ public:
         other.nodes_ = nullptr;
         other.leaves_ = nullptr;
         other.direct_ = nullptr;
-        other.leaves8_ = nullptr;
-        other.leaf_dict_ = nullptr;
     }
     SnapshotFib& operator=(SnapshotFib&& other) noexcept
     {
@@ -278,16 +259,12 @@ public:
             nodes_ = other.nodes_;
             leaves_ = other.leaves_;
             direct_ = other.direct_;
-            leaves8_ = other.leaves8_;
-            leaf_dict_ = other.leaf_dict_;
             root_ = other.root_;
             direct_bits_ = other.direct_bits_;
             leaf_compression_ = other.leaf_compression_;
             other.nodes_ = nullptr;
             other.leaves_ = nullptr;
             other.direct_ = nullptr;
-            other.leaves8_ = nullptr;
-            other.leaf_dict_ = nullptr;
         }
         return *this;
     }
@@ -334,18 +311,10 @@ public:
     [[nodiscard]] std::uint64_t direct_slots() const noexcept { return hdr_.direct_count; }
     [[nodiscard]] std::uint64_t image_bytes() const noexcept { return hdr_.total_bytes; }
 
-    [[nodiscard]] std::uint64_t leaf8_count() const noexcept { return hdr_.leaf8_count; }
-    [[nodiscard]] std::uint64_t leaf_dict_count() const noexcept
-    {
-        return hdr_.leaf_dict_count;
-    }
-
     // Raw section access for the structural verifier (verify_image).
     [[nodiscard]] const Node* nodes_data() const noexcept { return nodes_; }
     [[nodiscard]] const NextHop* leaves_data() const noexcept { return leaves_; }
     [[nodiscard]] const std::uint32_t* direct_data() const noexcept { return direct_; }
-    [[nodiscard]] const std::uint8_t* leaves8_data() const noexcept { return leaves8_; }
-    [[nodiscard]] const NextHop* leaf_dict_data() const noexcept { return leaf_dict_; }
 
 private:
     SnapshotFib() = default;
@@ -361,8 +330,6 @@ private:
         nodes_ = nullptr;
         leaves_ = nullptr;
         direct_ = nullptr;
-        leaves8_ = nullptr;
-        leaf_dict_ = nullptr;
     }
 
     /// The plain-load view the shared walk (lookup_walk.ipp) reads through.
@@ -370,7 +337,7 @@ private:
     POPTRIE_HOT [[nodiscard]] poptrie::batch::PlainView<value_type, Node>
     plain_view() const noexcept
     {
-        return {nodes_, leaves_, direct_, root_, leaves8_, leaf_dict_};
+        return {nodes_, leaves_, direct_, root_};
     }
 
     ImageHeader hdr_{};
@@ -381,10 +348,6 @@ private:
     const Node* nodes_ = nullptr;
     const NextHop* leaves_ = nullptr;
     const std::uint32_t* direct_ = nullptr;
-    // v2 dict-coded leaf sections; null pointers are fine when the image
-    // carries no tagged runs (the view branches on the base0 tag first).
-    const std::uint8_t* leaves8_ = nullptr;
-    const NextHop* leaf_dict_ = nullptr;
     std::uint32_t root_ = 0;
     unsigned direct_bits_ = 0;
     bool leaf_compression_ = true;

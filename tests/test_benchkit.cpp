@@ -185,6 +185,54 @@ TEST(Cli, PrefixNamesDoNotCollide)
     EXPECT_EQ(args.get_u64("lookups", 7), 7u);  // "--lookups-extra" != "--lookups"
 }
 
+TEST(Cli, CheckAcceptsDeclaredAndStandardFlags)
+{
+    const char* argv[] = {"lpmd", "--engine", "poptrie", "--check", "--seed=3", "--json-out",
+                          "out.json"};
+    const Args args(7, const_cast<char**>(argv));
+    EXPECT_EQ(args.get_u64("seed", 0), 3u);
+    EXPECT_EQ(args.check({"engine", "check"}), "");
+}
+
+TEST(Cli, CheckNamesUnknownFlag)
+{
+    const char* argv[] = {"lpmd", "--duration=0.2", "--no-such-flag=3"};
+    const Args args(3, const_cast<char**>(argv));
+    EXPECT_DOUBLE_EQ(args.get_double("duration", 5), 0.2);
+    const std::string err = args.check({"duration"});
+    EXPECT_NE(err.find("--no-such-flag=3"), std::string::npos) << err;
+    // A prefix of a declared name is not that name.
+    const char* argv2[] = {"lpmd", "--dur=1"};
+    EXPECT_NE(Args(2, const_cast<char**>(argv2)).check({"duration"}), "");
+}
+
+TEST(Cli, CheckRejectsPositionalAndBareDashes)
+{
+    const char* argv[] = {"lpmd", "--routes", "-5"};  // "-5" is not taken as a value
+    const Args args(3, const_cast<char**>(argv));
+    EXPECT_NE(args.check({"routes"}).find("'-5'"), std::string::npos);
+    const char* argv2[] = {"lpmd", "--"};
+    EXPECT_NE(Args(2, const_cast<char**>(argv2)).check({}), "");
+}
+
+TEST(Cli, CheckReportsMalformedNumbers)
+{
+    const char* argv[] = {"lpmd", "--routes=1e3", "--rate-mpps=fast"};
+    const Args args(3, const_cast<char**>(argv));
+    EXPECT_EQ(args.get_u64("routes", 50'000), 50'000u);  // falls back...
+    EXPECT_DOUBLE_EQ(args.get_double("rate-mpps", 0), 0.0);
+    const std::string err = args.check({"routes", "rate-mpps"});  // ...but is reported
+    EXPECT_NE(err.find("--routes"), std::string::npos) << err;
+    EXPECT_NE(err.find("1e3"), std::string::npos) << err;
+    // A valued flag given with no value is reported too.
+    const char* argv2[] = {"lpmd", "--routes", "--engine", "--check"};
+    const Args bare(4, const_cast<char**>(argv2));
+    EXPECT_EQ(bare.get_u64("routes", 7), 7u);
+    EXPECT_EQ(bare.get("engine", "poptrie"), "poptrie");
+    EXPECT_TRUE(bare.has("check"));
+    EXPECT_NE(bare.check({"routes", "engine", "check"}).find("--routes"), std::string::npos);
+}
+
 TEST(Printer, Formatting)
 {
     EXPECT_EQ(fmt(3.14159, 2), "3.14");

@@ -4,9 +4,9 @@
 //     function of the config — same seed, same FIB, byte-for-byte, across
 //     platforms and standard libraries (the hashes below were captured from
 //     two independent runs and pin the cross-platform contract);
-//   * compressed-leaf (Config::leaf_dict) lookup equivalence against basic
-//     mode, through compact(), post-compact churn, recompaction, and a
-//     snapshot round trip;
+//   * lookup equivalence with the RIB oracle on a compacted scaled table,
+//     through compact(), post-compact churn, recompaction, and a snapshot
+//     round trip;
 //   * the 32-bit pool/slot-index audit: unsatisfiable pool targets surface
 //     as netbase::StructuralLimit, never UB or a silently-wrapped size.
 #include <gtest/gtest.h>
@@ -126,69 +126,56 @@ TEST(ScaleGen, InfeasibleTargetIsStructuralLimit)
     EXPECT_THROW((void)workload::generate_scaled_table(cfg), netbase::StructuralLimit);
 }
 
-// --- compressed-leaf vs basic equivalence ----------------------------------
+// --- compacted scaled table vs the RIB oracle ------------------------------
 
 namespace {
 
-/// Builds basic and dict FIBs from the same 60k-route scaled table and
-/// cross-checks every probe pattern the bench uses. Returns the pair for
-/// further abuse.
-struct DictPair {
+/// A compacted Poptrie18 over a scaled table, plus the RIB it was built from
+/// (the oracle every probe is checked against).
+struct Compacted {
     Rib4 rib;
-    std::unique_ptr<poptrie::Poptrie4> basic;
-    std::unique_ptr<poptrie::Poptrie4> dict;
+    std::unique_ptr<poptrie::Poptrie4> fib;
 };
 
-DictPair make_pair_compacted(std::size_t n_routes)
+Compacted make_compacted(std::size_t n_routes)
 {
-    DictPair p;
+    Compacted c;
     workload::ScaledTableConfig cfg;
     cfg.seed = 7;
     cfg.target_routes = n_routes;
     cfg.next_hops = 100;
-    p.rib.insert_all(workload::generate_scaled_table(cfg));
+    c.rib.insert_all(workload::generate_scaled_table(cfg));
     // quiescent: single-threaded test — no reader exists to wait for.
     const psync::QuiescentSection quiescent;
     poptrie::Config pc;
     pc.direct_bits = 18;
-    p.basic = std::make_unique<poptrie::Poptrie4>(p.rib, pc);
-    p.basic->compact();
-    pc.leaf_dict = true;
-    p.dict = std::make_unique<poptrie::Poptrie4>(p.rib, pc);
-    p.dict->compact();
-    return p;
+    c.fib = std::make_unique<poptrie::Poptrie4>(c.rib, pc);
+    c.fib->compact();
+    return c;
 }
 
-void expect_equivalent(const DictPair& p, std::uint64_t seed, std::size_t probes)
+void expect_matches_rib(const Compacted& c, std::uint64_t seed, std::size_t probes)
 {
     workload::Xorshift128 rng(seed);
     for (std::size_t i = 0; i < probes; ++i) {
         const std::uint32_t a = rng.next();
-        const auto want = p.rib.lookup(Ipv4Addr{a});
-        ASSERT_EQ(p.basic->lookup(Ipv4Addr{a}), want) << "basic diverged at " << a;
-        ASSERT_EQ(p.dict->lookup(Ipv4Addr{a}), want) << "dict diverged at " << a;
+        ASSERT_EQ(c.fib->lookup(Ipv4Addr{a}), c.rib.lookup(Ipv4Addr{a})) << "diverged at " << a;
     }
 }
 
 }  // namespace
 
-TEST(ScaleDict, CompactedEquivalence)
+TEST(ScaleCompact, CompactedEquivalence)
 {
-    const auto p = make_pair_compacted(60'000);
-    // The dictionary must actually be engaged, or this test proves nothing.
-    const auto st = p.dict->stats();
-    ASSERT_GT(st.leaf8_slots, 0u);
-    ASSERT_GT(st.leaf_dict_entries, 0u);
-    ASSERT_LE(st.leaf_dict_entries, 256u);
-    EXPECT_LT(st.memory_bytes, p.basic->stats().memory_bytes);
-    expect_equivalent(p, 0xABCD, 200'000);
+    const auto c = make_compacted(60'000);
+    expect_matches_rib(c, 0xABCD, 200'000);
 }
 
-TEST(ScaleDict, ChurnAndRecompactEquivalence)
+TEST(ScaleCompact, ChurnAndRecompactEquivalence)
 {
-    auto p = make_pair_compacted(60'000);
-    // Post-compact churn: updates allocate plain 16-bit runs next to the
-    // dict-coded ones; both modes must keep agreeing with the RIB oracle.
+    auto c = make_compacted(60'000);
+    // Post-compact churn: updates allocate runs from the rebuilt buddy
+    // allocators next to the compacted layout.
     workload::Xorshift128 rng(99);
     // quiescent: single-threaded test — no reader exists to wait for.
     const psync::QuiescentSection quiescent;
@@ -196,44 +183,30 @@ TEST(ScaleDict, ChurnAndRecompactEquivalence)
         const std::uint32_t bits = rng.next() & netbase::high_mask<std::uint32_t>(24);
         const netbase::Prefix4 pfx{Ipv4Addr{bits}, 24};
         const auto hop = static_cast<rib::NextHop>(1 + rng.next() % 100);
-        // apply() inserts into the RIB itself; the second call sees the
-        // route already present and recompiles to the same state.
-        p.basic->apply(p.rib, pfx, hop);
-        p.dict->apply(p.rib, pfx, hop);
+        c.fib->apply(c.rib, pfx, hop);
     }
-    p.basic->drain();
-    p.dict->drain();
-    expect_equivalent(p, 0x1234, 100'000);
-    // Recompaction re-encodes the churned table from scratch.
-    p.basic->compact();
-    p.dict->compact();
-    expect_equivalent(p, 0x5678, 100'000);
+    c.fib->drain();
+    expect_matches_rib(c, 0x1234, 100'000);
+    // Recompaction lays the churned table out from scratch.
+    c.fib->compact();
+    expect_matches_rib(c, 0x5678, 100'000);
 }
 
-TEST(ScaleDict, SnapshotRoundTripEquivalence)
+TEST(ScaleCompact, SnapshotRoundTripEquivalence)
 {
-    const auto p = make_pair_compacted(60'000);
-    std::vector<std::uint8_t> basic_img, dict_img;
+    const auto c = make_compacted(60'000);
+    std::vector<std::uint8_t> img;
     {
         // quiescent: single-threaded test — no reader exists to wait for.
         const psync::QuiescentSection quiescent;
-        basic_img = snapshot::serialize(*p.basic);
-        dict_img = snapshot::serialize(*p.dict);
+        img = snapshot::serialize(*c.fib);
     }
-    const auto basic_fib =
-        snapshot::SnapshotFib<Ipv4Addr>::load_buffer(basic_img.data(), basic_img.size());
-    const auto dict_fib =
-        snapshot::SnapshotFib<Ipv4Addr>::load_buffer(dict_img.data(), dict_img.size());
-    EXPECT_FALSE(basic_fib.config().leaf_dict);
-    EXPECT_TRUE(dict_fib.config().leaf_dict);
-    EXPECT_GT(dict_fib.leaf8_count(), 0u);
-    EXPECT_LT(dict_img.size(), basic_img.size());
+    const auto fib = snapshot::SnapshotFib<Ipv4Addr>::load_buffer(img.data(), img.size());
     workload::Xorshift128 rng(0x9E37);
     for (std::size_t i = 0; i < 200'000; ++i) {
         const std::uint32_t a = rng.next();
-        const auto want = p.rib.lookup(Ipv4Addr{a});
-        ASSERT_EQ(basic_fib.lookup(Ipv4Addr{a}), want) << "snapshot basic diverged at " << a;
-        ASSERT_EQ(dict_fib.lookup(Ipv4Addr{a}), want) << "snapshot dict diverged at " << a;
+        ASSERT_EQ(fib.lookup(Ipv4Addr{a}), c.rib.lookup(Ipv4Addr{a}))
+            << "snapshot diverged at " << a;
     }
 }
 

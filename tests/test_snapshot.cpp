@@ -4,7 +4,8 @@
 // like the live trie and the RIB oracle, for both address families and for
 // both load placements (mmap and copy-in). The rejection tests prove the
 // loader refuses every corruption class: flipped payload bits, short reads,
-// bad magic, wrong format version, and a family mismatch.
+// bad magic, wrong format version, and a family mismatch; the verifier
+// catches a leaf base the loader cannot see is out of range.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -233,20 +234,72 @@ TEST(Snapshot, BadMagicAndWrongVersionRejected)
     EXPECT_THROW(SnapshotFib4::load_buffer(bad_magic.data(), bad_magic.size()), ImageError);
 
     // Re-seal the header checksum so the version check itself, not the
-    // checksum side effect, does the rejecting.
-    auto bad_version = img;
+    // checksum side effect, does the rejecting. Version 2 is the retired
+    // format that carried dictionary-coded leaf sections.
+    for (const std::uint32_t version : {2u, snapshot::kFormatVersion + 7}) {
+        auto bad_version = img;
+        snapshot::ImageHeader hdr;
+        std::memcpy(&hdr, bad_version.data(), sizeof(hdr));
+        hdr.format_version = version;
+        hdr.header_checksum = 0;
+        hdr.header_checksum = snapshot::fnv1a64(&hdr, sizeof(hdr));
+        std::memcpy(bad_version.data(), &hdr, sizeof(hdr));
+        try {
+            static_cast<void>(
+                SnapshotFib4::load_buffer(bad_version.data(), bad_version.size()));
+            FAIL() << "version " << version << " image was accepted";
+        } catch (const ImageError& e) {
+            EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
+        }
+    }
+}
+
+TEST(Snapshot, VerifyReportsLeafBaseWithBit31Set)
+{
+    // quiescent: single-threaded test — no reader thread ever exists.
+    const psync::QuiescentSection quiescent;
+    auto rib = load(corner_case_table());
+    Poptrie4 pt{rib, Config{}};
+    auto img = snapshot::serialize(pt);
     snapshot::ImageHeader hdr;
-    std::memcpy(&hdr, bad_version.data(), sizeof(hdr));
-    hdr.format_version = snapshot::kFormatVersion + 7;
+    std::memcpy(&hdr, img.data(), sizeof(hdr));
+    ASSERT_NE(hdr.direct_bits, 0u);
+
+    // Tag the leaf base of the first node a direct slot reaches that has
+    // leaves. Bit 31 of base0 means nothing in this format, so the run lands
+    // far past the leaf section.
+    using Node = Poptrie4::Node;
+    const auto* direct = reinterpret_cast<const std::uint32_t*>(img.data() + hdr.direct.offset);
+    std::uint64_t node_off = 0;
+    for (std::uint64_t d = 0; d < hdr.direct_count && node_off == 0; ++d) {
+        if (direct[d] & Poptrie4::kDirectLeafBit) continue;
+        const std::uint64_t off = hdr.nodes.offset + std::uint64_t{direct[d]} * sizeof(Node);
+        Node n;
+        std::memcpy(&n, img.data() + off, sizeof(n));
+        if (n.leafvec != 0) node_off = off;
+    }
+    ASSERT_NE(node_off, 0u) << "corner table has no direct-reached node with leaves";
+    Node n;
+    std::memcpy(&n, img.data() + node_off, sizeof(n));
+    n.base0 |= 0x8000'0000u;
+    std::memcpy(img.data() + node_off, &n, sizeof(n));
+
+    // Re-seal every checksum so the loader accepts the image and only the
+    // structural verifier can catch the tagged base.
+    hdr.nodes.checksum = snapshot::fnv1a64(img.data() + hdr.nodes.offset, hdr.nodes.bytes);
+    hdr.payload_checksum =
+        snapshot::fnv1a64(img.data() + hdr.header_bytes, img.size() - hdr.header_bytes);
     hdr.header_checksum = 0;
     hdr.header_checksum = snapshot::fnv1a64(&hdr, sizeof(hdr));
-    std::memcpy(bad_version.data(), &hdr, sizeof(hdr));
-    try {
-        static_cast<void>(SnapshotFib4::load_buffer(bad_version.data(), bad_version.size()));
-        FAIL() << "wrong-version image was accepted";
-    } catch (const ImageError& e) {
-        EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
-    }
+    std::memcpy(img.data(), &hdr, sizeof(hdr));
+
+    const auto fib = SnapshotFib4::load_buffer(img.data(), img.size());
+    const auto report = snapshot::verify_image(fib);
+    ASSERT_FALSE(report.ok());
+    bool out_of_range = false;
+    for (const auto& v : report.violations)
+        out_of_range = out_of_range || v.find("exceeds leaf count") != std::string::npos;
+    EXPECT_TRUE(out_of_range) << report.summary();
 }
 
 TEST(Snapshot, FamilyMismatchRejected)

@@ -13,15 +13,15 @@ Modes mirror the failure classes --verify-image must catch:
 
 The header layout constants below must match snapshot::ImageHeader
 (src/snapshot/snapshot.hpp): format_version is the uint32 at offset 8,
-header_checksum the uint64 at offset 280 of the 288-byte header, computed
+header_checksum the uint64 at offset 216 of the 224-byte header, computed
 as FNV-1a 64 over the header with the checksum field zeroed.
 """
 import struct
 import sys
 
-HEADER_BYTES = 288
+HEADER_BYTES = 224
 VERSION_OFF = 8
-HEADER_CHECKSUM_OFF = 280
+HEADER_CHECKSUM_OFF = 216
 
 
 def fnv1a64(data: bytes) -> int:

@@ -378,6 +378,17 @@ int main(int argc, char** argv)
     opt.snapshot_save = args.get("snapshot-save", "");
     opt.snapshot_load = args.get("snapshot-load", "");
     opt.snapshot_placement = args.get("snapshot-placement", opt.snapshot_placement);
+    // A mistyped or stale flag must not run as if it were a measured
+    // configuration: reject unknown names and unparsable numbers up front.
+    if (const std::string err = args.check(
+            {"engine", "workers", "routes", "file", "duration", "rate-mpps", "pattern", "burst",
+             "ring-capacity", "pin", "direct-bits", "churn-updates", "churn-rate",
+             "compact-every", "stats-interval", "json", "check", "snapshot-save",
+             "snapshot-load", "snapshot-placement"});
+        !err.empty()) {
+        std::fprintf(stderr, "lpmd: %s\n", err.c_str());
+        return 2;
+    }
 
     if (opt.workers == 0 || opt.burst == 0 || opt.stats_interval <= 0) {
         std::fprintf(stderr,

@@ -75,11 +75,12 @@ def parent(index, hop):
     return bytes([0x04, index]) + u16(hop - 1)
 
 
-def config(direct_bits, leaf_compression=True, route_aggregation=False, leaf_dict=False):
-    """A byte decode_config maps to the given Poptrie configuration."""
+def config(direct_bits, leaf_compression=True, route_aggregation=False, compact=False):
+    """A byte decode_config maps to the given Poptrie configuration
+    (`compact` sets decode_compact's bit)."""
     choices = [0, 6, 12, 16, 17, 18]
     b = choices.index(direct_bits)
-    if leaf_dict:
+    if compact:
         b |= 0x20
     if leaf_compression:
         b |= 0x40
@@ -131,21 +132,20 @@ def seeds_differential():
         flood += sibling(i % 8, 2 + i) + child(i % 8, i & 1, 40 + i)
     out["sibling_flood"] = flood
 
-    # Dictionary-coded leaves (config bit 0x20): a /24 sweep with few
-    # distinct hops, compacted by the harness into 8-bit dict runs under
-    # s=18 direct pointing, then the full probe replay over the decode path.
-    dict_sweep = config(18, leaf_dict=True) + b"\x00"
+    # Compact-then-replay (config bit 0x20): a /24 sweep with few distinct
+    # hops under s=18 direct pointing, compacted by the harness, then the
+    # full probe replay over the compacted layout.
+    compact_sweep = config(18, compact=True) + b"\x00"
     for i in range(96):
-        dict_sweep += fresh4(v4(10, 50 + (i // 48), i % 48, 0), 24, 1 + (i % 5))
-    out["leaf_dict_sweep"] = dict_sweep
+        compact_sweep += fresh4(v4(10, 50 + (i // 48), i % 48, 0), 24, 1 + (i % 5))
+    out["compact_sweep"] = compact_sweep
 
-    # IPv6 under leaf_dict: sparse DFZ-style table, compact engages the
-    # dictionary on the v6 trie's leaf runs.
-    dict6 = config(16, leaf_dict=True) + b"\x01"
-    dict6 += fresh6(0, 0, 1)
+    # The same leg on IPv6: a sparse DFZ-style table, compacted and replayed.
+    compact6 = config(16, compact=True) + b"\x01"
+    compact6 += fresh6(0, 0, 1)
     for i in range(24):
-        dict6 += fresh6((0x20010D00 + i) << 96, 32, 1 + (i % 3))
-    out["leaf_dict_ipv6"] = dict6
+        compact6 += fresh6((0x20010D00 + i) << 96, 32, 1 + (i % 3))
+    out["compact_ipv6"] = compact6
 
     return out
 
